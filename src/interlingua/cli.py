@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as D
 from .evaluation import (
     bleu,
@@ -32,6 +30,7 @@ from .training import (
     System,
     TrainConfig,
     TrainState,
+    _pad_rows,
     add_language,
     build_system,
     load_checkpoint,
@@ -145,36 +144,44 @@ def apply_sugar_flags(cp: configparser.ConfigParser, args):
         cp["train"]["max_steps"] = str(args.steps)
 
 
+def preamble(args) -> tuple[configparser.ConfigParser, Path, Path]:
+    """Config, base directory and output directory of one command.
+
+    Every command starts here, so the effective config is written before
+    any command-specific check can fail.
+    """
+    cp, base = read_config(args.config, args.set)
+    apply_sugar_flags(cp, args)
+    out = _resolve(base, cp["output"]["dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    echo_config(cp, base, out)
+    return cp, base, out
+
+
 def _resolve(base: Path, value: str) -> Path:
     p = Path(value)
     return p if p.is_absolute() else (base / p)
 
 
-def _require_file(base: Path, cp, section: str, key: str) -> Path:
-    value = cp[section][key].strip()
-    if not value:
-        raise ConfigError(f"{section}.{key} is required")
-    path = _resolve(base, value)
+def require_file(path: Path, hint: str) -> Path:
+    """``path`` when it is a file, else one config error that ends in ``hint``."""
     if not path.is_file():
-        raise ConfigError(f"{section}.{key} points to a missing file: {path}")
+        raise ConfigError(f"missing file {path}; {hint}")
     return path
 
 
-def _optional_file(base: Path, cp, section: str, key: str) -> Path | None:
+def configured_file(base: Path, cp, section: str, key: str, required: bool = True) -> Path | None:
+    """The existing file a config key names; None for an empty optional key."""
     value = cp[section][key].strip()
     if not value:
+        if required:
+            raise ConfigError(f"{section}.{key} is required")
         return None
-    path = _resolve(base, value)
-    if not path.is_file():
-        raise ConfigError(f"{section}.{key} points to a missing file: {path}")
-    return path
+    return require_file(_resolve(base, value), f"check {section}.{key}")
 
 
-def output_dir(cp, base: Path, create: bool = True) -> Path:
-    out = _resolve(base, cp["output"]["dir"])
-    if create:
-        out.mkdir(parents=True, exist_ok=True)
-    return out
+def language_pair(cp) -> tuple[str, str]:
+    return cp["data"]["lang_x"], cp["data"]["lang_y"]
 
 
 def echo_config(cp: configparser.ConfigParser, base: Path, out: Path):
@@ -268,64 +275,84 @@ def corpus_path(out: Path, split: str) -> Path:
     return out / f"corpus-{split}.bin"
 
 
-def load_side_assets(out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
-    bp, vp = bpe_path(out, lang), vocab_path(out, lang)
-    for p in (bp, vp):
-        if not p.is_file():
-            raise ConfigError(f"missing data artifact {p}; run prepare first")
-    return D.load_bpe(bp), D.Vocabulary.load(vp)
+def write_json(path: Path, obj):
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _checkpoint_file(args, out: Path) -> Path:
-    if getattr(args, "checkpoint", None):
-        path = Path(args.checkpoint)
-        if not path.is_file():
-            raise ConfigError(f"checkpoint not found: {path}")
-        return path
-    path = out / FINAL_CHECKPOINT
-    if not path.is_file():
-        raise ConfigError(f"no checkpoint at {path}; train first or pass --checkpoint")
-    return path
+def json_lines_logger(log, then=None):
+    """Step callback writing one sorted JSON line per report, then calling ``then``."""
+
+    def on_step(report: dict):
+        log.write(json.dumps(report, sort_keys=True) + "\n")
+        log.flush()
+        if then is not None:
+            then(report)
+
+    return on_step
 
 
-def _load_system(args, cp, out: Path, languages: list[str]):
-    """Load a checkpoint and verify it matches the on-disk vocabularies."""
-    vocabs = {}
-    expected = {}
-    for lang in languages:
-        _, vocab = load_side_assets(out, lang)
-        vocabs[lang] = vocab
-        expected[lang] = vocab.content_hash()
-    system, state, train_cfg = load_checkpoint(
-        _checkpoint_file(args, out), expected_vocab_hashes=expected
+def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
+    """Learn one language's BPE table and vocabulary from a text file; save both."""
+    lines = text.read_text(encoding="utf-8").splitlines()
+    model = D.learn_bpe(lines, cp["data"].getint("bpe_merges"))
+    vocab = D.build_vocabulary(
+        [D.apply_bpe(model, l) for l in lines], cp["data"].getint("vocab_cap")
     )
-    return system, state, train_cfg, vocabs
+    D.save_bpe(model, bpe_path(out, lang))
+    vocab.save(vocab_path(out, lang))
+    return model, vocab
+
+
+def load_vocabs(out: Path, languages) -> dict[str, D.Vocabulary]:
+    """Vocabularies of prepared languages, whose BPE tables must exist too."""
+    vocabs = {}
+    for lang in languages:
+        require_file(bpe_path(out, lang), "run prepare first")
+        vocabs[lang] = D.Vocabulary.load(require_file(vocab_path(out, lang), "run prepare first"))
+    return vocabs
+
+
+def load_corpus(cp, out: Path, split: str) -> D.ParallelCorpus:
+    """One prepared split, checked against the configured language pair."""
+    hint = "configure data.test_x/test_y and run prepare" if split == "test" else "run prepare first"
+    corpus = D.read_corpus(require_file(corpus_path(out, split), hint))
+    pair = language_pair(cp)
+    if set(corpus.languages) != set(pair):
+        raise ConfigError(f"prepared corpus pairs {corpus.languages}, config names {pair}")
+    return corpus
+
+
+def load_system(args, out: Path, languages) -> tuple[System, dict[str, D.Vocabulary]]:
+    """The checkpoint's system, verified against the on-disk vocabularies."""
+    vocabs = load_vocabs(out, languages)
+    if args.checkpoint:
+        path = require_file(Path(args.checkpoint), "check --checkpoint")
+    else:
+        path = require_file(out / FINAL_CHECKPOINT, "train first or pass --checkpoint")
+    expected = {lang: v.content_hash() for lang, v in vocabs.items()}
+    system, _, _ = load_checkpoint(path, expected_vocab_hashes=expected)
+    return system, vocabs
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_prepare(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    train_x = _require_file(base, cp, "data", "train_x")
-    train_y = _require_file(base, cp, "data", "train_y")
-    test_x = _optional_file(base, cp, "data", "test_x")
-    test_y = _optional_file(base, cp, "data", "test_y")
+    cp, base, out = preamble(args)
+    train_x = configured_file(base, cp, "data", "train_x")
+    train_y = configured_file(base, cp, "data", "train_y")
+    test_x = configured_file(base, cp, "data", "test_x", required=False)
+    test_y = configured_file(base, cp, "data", "test_y", required=False)
     if (test_x is None) != (test_y is None):
         raise ConfigError("test_x and test_y must be configured together")
-    lang_x, lang_y = cp["data"]["lang_x"], cp["data"]["lang_y"]
+    lang_x, lang_y = language_pair(cp)
     if lang_x == lang_y:
         raise ConfigError(f"lang_x and lang_y must differ, both are {lang_x!r}")
-    merges = cp["data"].getint("bpe_merges")
-    cap = cp["data"].getint("vocab_cap")
     max_words = cp["data"].getint("max_words")
-    out = output_dir(cp, base)
-    echo_config(cp, base, out)
 
     settings = {
-        "bpe_merges": merges,
-        "vocab_cap": cap,
+        "bpe_merges": cp["data"].getint("bpe_merges"),
+        "vocab_cap": cp["data"].getint("vocab_cap"),
         "max_words": max_words,
         "lang_x": lang_x,
         "lang_y": lang_y,
@@ -351,13 +378,8 @@ def cmd_prepare(args) -> int:
     models: dict[str, D.BpeModel] = {}
     vocabs: dict[str, D.Vocabulary] = {}
     for lang, path in sides.items():
-        lines = path.read_text(encoding="utf-8").splitlines()
-        model = D.learn_bpe(lines, merges)
-        vocab = D.build_vocabulary([D.apply_bpe(model, l) for l in lines], cap)
-        D.save_bpe(model, bpe_path(out, lang))
-        vocab.save(vocab_path(out, lang))
-        models[lang], vocabs[lang] = model, vocab
-        print(f"prepare: {lang}: {len(model.merges)} merges, vocabulary {len(vocab)}")
+        models[lang], vocabs[lang] = learn_side(cp, path, out, lang)
+        print(f"prepare: {lang}: {len(models[lang].merges)} merges, vocabulary {len(vocabs[lang])}")
 
     def build_split(split: str, px, py):
         corpus = D.load_parallel(
@@ -378,48 +400,28 @@ def cmd_prepare(args) -> int:
     output_names.append(corpus_path(out, "train").name)
     if test_x:
         output_names.append(corpus_path(out, "test").name)
-    manifest = {
+    write_json(manifest_file, {
         "inputs": inputs,
         "settings": settings,
         "outputs": {name: D.file_sha256(out / name) for name in sorted(output_names)},
-    }
-    manifest_file.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
     return 0
 
 
-def _require_prepared(cp, out: Path) -> tuple[str, str]:
-    lang_x, lang_y = cp["data"]["lang_x"], cp["data"]["lang_y"]
-    needed = [bpe_path(out, l) for l in (lang_x, lang_y)]
-    needed += [vocab_path(out, l) for l in (lang_x, lang_y)]
-    needed.append(corpus_path(out, "train"))
-    missing = [str(p) for p in needed if not p.is_file()]
-    if missing:
-        raise ConfigError("missing data artifacts (run prepare first): " + ", ".join(missing))
-    return lang_x, lang_y
-
-
 def cmd_train(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    out = output_dir(cp, base)
-    lang_x, lang_y = _require_prepared(cp, out)
+    cp, base, out = preamble(args)
     train_cfg = train_config_from(cp)
-    corpus = D.read_corpus(corpus_path(out, "train"))
-    if set(corpus.languages) != {lang_x, lang_y}:
-        raise ConfigError(
-            f"prepared corpus pairs {corpus.languages}, config names ({lang_x}, {lang_y})"
-        )
-    vocabs = {lang: D.Vocabulary.load(vocab_path(out, lang)) for lang in (lang_x, lang_y)}
-    echo_config(cp, base, out)
+    vocabs = load_vocabs(out, language_pair(cp))
+    corpus = load_corpus(cp, out, "train")
+    hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
     final = out / FINAL_CHECKPOINT
     checkpoint_every = cp["train"].getint("checkpoint_every")
 
     with OutputLock(out):
         if args.resume:
-            expected = {lang: v.content_hash() for lang, v in vocabs.items()}
             # the current config stays authoritative; the checkpoint supplies
             # parameters, optimizer moments, and the step counter
-            system, state, _ = load_checkpoint(final, expected_vocab_hashes=expected)
+            system, state, _ = load_checkpoint(final, expected_vocab_hashes=hashes)
             log_mode = "a"
             if state.step >= train_cfg.max_steps:
                 print(f"train: checkpoint already at step {state.step}, nothing to do")
@@ -429,74 +431,61 @@ def cmd_train(args) -> int:
                 raise ConfigError(
                     f"{final} already exists; pass --resume to continue it or use a fresh output dir"
                 )
+            sizes = {lang: len(v) for lang, v in vocabs.items()}
             system = build_system(
-                model_config_from(cp, {l: len(v) for l, v in vocabs.items()}),
-                {lang: len(v) for lang, v in vocabs.items()},
+                model_config_from(cp, sizes),
+                sizes,
                 seed=train_cfg.seed,
                 quantize_latent=train_cfg.quantize,
                 vq_tables=train_cfg.vq_tables,
                 vq_entries=train_cfg.vq_entries,
             )
-            system.vocab_hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
+            system.vocab_hashes = hashes
             state = TrainState()
             log_mode = "w"
 
+        def after_step(report: dict):
+            if checkpoint_every > 0 and report["step"] % checkpoint_every == 0:
+                save_checkpoint(
+                    system, state, out / f"checkpoint-{report['step']:06d}.ckpt",
+                    train_config=train_cfg,
+                )
+            if report["step"] % 50 == 0 or report["step"] == 1:
+                print(
+                    f"step {report['step']}: loss {report['loss']:.4f} "
+                    f"corr_distance {report['corr_distance']:.4f}"
+                )
+
         with open(out / TRAIN_LOG, log_mode, encoding="utf-8") as log:
-
-            def on_step(report: dict):
-                log.write(json.dumps(report, sort_keys=True) + "\n")
-                log.flush()
-                if checkpoint_every > 0 and report["step"] % checkpoint_every == 0:
-                    save_checkpoint(
-                        system, state, out / f"checkpoint-{report['step']:06d}.ckpt",
-                        train_config=train_cfg,
-                    )
-                if report["step"] % 50 == 0 or report["step"] == 1:
-                    print(
-                        f"step {report['step']}: loss {report['loss']:.4f} "
-                        f"corr_distance {report['corr_distance']:.4f}"
-                    )
-
-            train(system, state, corpus, train_cfg, log_fn=on_step)
+            train(system, state, corpus, train_cfg, log_fn=json_lines_logger(log, after_step))
         save_checkpoint(system, state, final, train_config=train_cfg)
     print(f"train: finished at step {state.step}, checkpoint {final}")
     return 0
 
 
 def cmd_add_language(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    out = output_dir(cp, base)
+    cp, base, out = preamble(args)
     new_lang = cp["extend"]["new_lang"].strip()
     if not new_lang:
         raise ConfigError("extend.new_lang is required")
     anchor_lang = cp["extend"]["anchor_lang"].strip() or cp["data"]["lang_x"]
-    train_anchor = _require_file(base, cp, "extend", "train_anchor")
-    train_new = _require_file(base, cp, "extend", "train_new")
+    train_anchor = configured_file(base, cp, "extend", "train_anchor")
+    train_new = configured_file(base, cp, "extend", "train_new")
     finetune_all = cp["extend"].getboolean("finetune_all")
-    merges = cp["data"].getint("bpe_merges")
-    cap = cp["data"].getint("vocab_cap")
-    echo_config(cp, base, out)
 
-    lang_x, lang_y = cp["data"]["lang_x"], cp["data"]["lang_y"]
     train_cfg = train_config_from(cp)
     with OutputLock(out):
-        system, _, _, vocabs = _load_system(args, cp, out, [lang_x, lang_y])
+        system, _ = load_system(args, out, language_pair(cp))
         if anchor_lang not in system.modules:
             raise ConfigError(f"anchor language {anchor_lang!r} not in checkpoint")
         if new_lang in system.modules:
             raise ConfigError(f"language {new_lang!r} already in checkpoint")
 
-        lines = train_new.read_text(encoding="utf-8").splitlines()
-        bpe_new = D.learn_bpe(lines, merges)
-        vocab_new = D.build_vocabulary([D.apply_bpe(bpe_new, l) for l in lines], cap)
-        D.save_bpe(bpe_new, bpe_path(out, new_lang))
-        vocab_new.save(vocab_path(out, new_lang))
-        anchor_bpe, anchor_vocab = load_side_assets(out, anchor_lang)
+        bpe_new, vocab_new = learn_side(cp, train_new, out, new_lang)
         corpus = D.load_parallel(
-            train_anchor, train_new, anchor_vocab, vocab_new,
+            train_anchor, train_new, load_vocabs(out, [anchor_lang])[anchor_lang], vocab_new,
             max_words=cp["data"].getint("max_words"),
-            bpe_x=anchor_bpe, bpe_y=bpe_new,
+            bpe_x=D.load_bpe(bpe_path(out, anchor_lang)), bpe_y=bpe_new,
             lang_x=anchor_lang, lang_y=new_lang,
         )
         D.save_corpus(corpus, corpus_path(out, f"extend-{new_lang}"))
@@ -505,17 +494,12 @@ def cmd_add_language(args) -> int:
             new_lang, system.config, vocab_size=len(vocab_new), seed=train_cfg.seed
         )
         with open(out / EXTEND_LOG, "w", encoding="utf-8") as log:
-
-            def on_step(report: dict):
-                log.write(json.dumps(report, sort_keys=True) + "\n")
-                log.flush()
-
             system, state = add_language(
                 system,
                 module,
                 corpus,
                 train_cfg,
-                log_fn=on_step,
+                log_fn=json_lines_logger(log),
                 finetune_all=finetune_all,
                 warm_start=cp["extend"].getboolean("warm_start"),
             )
@@ -527,67 +511,33 @@ def cmd_add_language(args) -> int:
     return 0
 
 
-def _encode_lines(lines, bpe, vocab, max_len: int):
-    rows = []
-    for line in lines:
-        ids = vocab.encode(D.apply_bpe(bpe, line))
-        if len(ids) + 1 > max_len:
-            ids = ids[: max_len - 1]  # keep room for the terminator
-        rows.append(np.array(ids + [EOS_ID], dtype=np.int64))
-    width = max(len(r) for r in rows)
-    matrix = np.zeros((len(rows), width), dtype=np.int64)
-    for i, row in enumerate(rows):
-        matrix[i, : len(row)] = row
-    return matrix
-
-
 def cmd_translate(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    out = output_dir(cp, base)
-    echo_config(cp, base, out)
+    cp, base, out = preamble(args)
     src, tgt = args.src, args.tgt
-    languages = [src] if src == tgt else [src, tgt]
-    system, _, _, vocabs = _load_system(args, cp, out, languages)
-    bpe_src, _ = load_side_assets(out, src)
+    system, vocabs = load_system(args, out, dict.fromkeys((src, tgt)))
+    bpe_src = D.load_bpe(bpe_path(out, src))
 
-    input_path = Path(args.input)
-    if not input_path.is_file():
-        raise ConfigError(f"input file not found: {input_path}")
-    lines = input_path.read_text(encoding="utf-8").splitlines()
+    lines = require_file(Path(args.input), "check --input").read_text(encoding="utf-8").splitlines()
     output_path = Path(args.output) if args.output else out / f"translated-{src}-{tgt}.txt"
     if not lines:
         output_path.write_text("", encoding="utf-8")
         print(f"translate: 0 lines -> {output_path}")
         return 0
 
-    tokens = _encode_lines(lines, bpe_src, vocabs[src], system.config.max_len)
-    decoded = decode_corpus_side(system, tgt, src, tokens, vocabs[tgt])
+    keep = system.config.max_len - 1  # room for the terminator
+    rows = [vocabs[src].encode(D.apply_bpe(bpe_src, line))[:keep] + [EOS_ID] for line in lines]
+    decoded = decode_corpus_side(system, tgt, src, _pad_rows(rows), vocabs[tgt])
     text = [D.detokenize(D.reverse_bpe(toks)) for toks in decoded]
     output_path.write_text("\n".join(text) + "\n", encoding="utf-8")
     print(f"translate: {len(lines)} lines {src}->{tgt} -> {output_path}")
     return 0
 
 
-def _load_eval_corpus(cp, out: Path, split: str) -> D.ParallelCorpus:
-    path = corpus_path(out, split)
-    if not path.is_file():
-        raise ConfigError(
-            f"no {split} corpus at {path}; configure data.test_x/test_y and run prepare"
-            if split == "test"
-            else f"no {split} corpus at {path}; run prepare first"
-        )
-    return D.read_corpus(path)
-
-
 def cmd_eval(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    out = output_dir(cp, base)
-    echo_config(cp, base, out)
-    lang_x, lang_y = cp["data"]["lang_x"], cp["data"]["lang_y"]
-    system, _, _, vocabs = _load_system(args, cp, out, [lang_x, lang_y])
-    corpus = _load_eval_corpus(cp, out, args.split)
+    cp, base, out = preamble(args)
+    lang_x, lang_y = language_pair(cp)
+    system, vocabs = load_system(args, out, (lang_x, lang_y))
+    corpus = load_corpus(cp, out, args.split)
 
     batch = make_batch(corpus, range(len(corpus)))
     by_lang = {batch.lang_x: batch.x, batch.lang_y: batch.y}
@@ -599,43 +549,33 @@ def cmd_eval(args) -> int:
         records[f"{src}_to_{tgt}"] = bleu_record(report)
         print(f"eval: {src}->{tgt} BLEU {report.score:.2f} (bp {report.brevity_penalty:.3f})")
     path = out / f"bleu-report-{args.split}.json"
-    path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, records)
     print(f"eval: report written to {path}")
     return 0
 
 
 def cmd_interlingua_eval(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    out = output_dir(cp, base)
-    echo_config(cp, base, out)
-    lang_x, lang_y = cp["data"]["lang_x"], cp["data"]["lang_y"]
-    system, _, _, vocabs = _load_system(args, cp, out, [lang_x, lang_y])
-    corpus = _load_eval_corpus(cp, out, args.split)
+    cp, base, out = preamble(args)
+    system, vocabs = load_system(args, out, language_pair(cp))
+    corpus = load_corpus(cp, out, args.split)
 
     reports = [
-        interlingua_eval(system, decoder, corpus, vocabs) for decoder in (lang_x, lang_y)
+        interlingua_eval(system, decoder, corpus, vocabs) for decoder in language_pair(cp)
     ]
-    records = [report_record(r) for r in reports]
     path = out / f"interlingua-report-{args.split}.json"
-    path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, [report_record(r) for r in reports])
     print(format_table(reports))
     print(f"interlingua-eval: report written to {path}")
     return 0
 
 
 def cmd_viz(args) -> int:
-    cp, base = read_config(args.config, args.set)
-    apply_sugar_flags(cp, args)
-    out = output_dir(cp, base)
-    echo_config(cp, base, out)
-    lang_x, lang_y = cp["data"]["lang_x"], cp["data"]["lang_y"]
-    system, _, _, _ = _load_system(args, cp, out, [lang_x, lang_y])
+    cp, base, out = preamble(args)
+    system, _ = load_system(args, out, language_pair(cp))
     seed = cp["train"].getint("seed")
 
     for split in args.split or ["train"]:
-        corpus = _load_eval_corpus(cp, out, split)
-        dump = export_embeddings(system, corpus)
+        dump = export_embeddings(system, load_corpus(cp, out, split))
         save_dump(dump, out / f"embeddings-{split}.tsv")
         proj = pca_project(dump, seed=seed)
         svg = out / f"viz-{split}.svg"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -292,6 +293,45 @@ def load_parallel(
     )
 
 
+def write_header(fh, magic: bytes, header: dict):
+    """Magic bytes, an 8-byte little-endian length, then the JSON header."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    fh.write(magic)
+    fh.write(len(blob).to_bytes(8, "little"))
+    fh.write(blob)
+
+
+def read_header(fh, magic: bytes, path) -> dict:
+    """Read what ``write_header`` wrote; any damage raises CheckpointError.
+
+    The length field is checked against the file size before the header
+    is read, so a damaged length never allocates a huge buffer.
+    """
+    if fh.read(len(magic)) != magic:
+        raise CheckpointError(f"unrecognized magic or version in {path}")
+    raw = fh.read(8)
+    size = int.from_bytes(raw, "little")
+    if len(raw) != 8 or size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"header length runs past the end of {path}")
+    try:
+        header = json.loads(fh.read(size).decode("utf-8"))
+    except ValueError as err:  # undecodable bytes or malformed JSON
+        raise CheckpointError(f"damaged header in {path}: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header of {path} is not a JSON object")
+    return header
+
+
+def read_array(fh, dtype: str, shape, path) -> np.ndarray:
+    """The next array of ``shape`` from the payload; raises on a short read."""
+    dtype = np.dtype(dtype)
+    size = dtype.itemsize * int(np.prod(shape))
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise CheckpointError(f"truncated file: {path}")
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+
+
 def save_corpus(corpus: ParallelCorpus, path):
     """Compact deterministic binary: magic, json header, int32 payload."""
     header = {
@@ -303,11 +343,8 @@ def save_corpus(corpus: ParallelCorpus, path):
         },
         "provenance": corpus.provenance,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CORPUS_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
+        write_header(fh, CORPUS_MAGIC, header)
         for lang in corpus.languages:
             for seq in corpus.sequences[lang]:
                 fh.write(np.ascontiguousarray(seq, dtype="<i4").tobytes())
@@ -315,23 +352,17 @@ def save_corpus(corpus: ParallelCorpus, path):
 
 def read_corpus(path) -> ParallelCorpus:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CORPUS_MAGIC:
-            raise CheckpointError(f"not a corpus file: {path}")
-        size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode("utf-8"))
+        header = read_header(fh, CORPUS_MAGIC, path)
         if header.get("version") != CORPUS_VERSION:
             raise CheckpointError(f"unsupported corpus version in {path}")
         languages = tuple(header["languages"])
         sequences: dict[str, list[np.ndarray]] = {}
         for lang in languages:
-            rows = []
-            for length in header["lengths"][lang]:
-                buf = fh.read(4 * length)
-                if len(buf) != 4 * length:
-                    raise CheckpointError(f"truncated corpus file: {path}")
-                rows.append(np.frombuffer(buf, dtype="<i4").astype(np.int32))
-            sequences[lang] = rows
+            # one read per side, split by the row lengths: a read per row
+            # costs several times more on corpora of thousands of pairs
+            lengths = header["lengths"][lang]
+            side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
+            sequences[lang] = np.split(side, np.cumsum(lengths)[:-1]) if lengths else []
     return ParallelCorpus(languages=languages, sequences=sequences, provenance=header["provenance"])
 
 

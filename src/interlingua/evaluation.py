@@ -192,33 +192,24 @@ def interlingua_eval(
     )
 
 
-def bleu_record(report: BleuReport) -> dict:
-    """JSON-friendly view of one BLEU measurement."""
+def bleu_record(report: BleuReport, tag: str = "") -> dict:
+    """JSON-friendly view of one BLEU measurement, keys prefixed ``<tag>_``."""
+    prefix = f"{tag}_" if tag else ""
     return {
-        "bleu": report.score,
-        "precisions": list(report.precisions),
-        "brevity_penalty": report.brevity_penalty,
-        "hyp_length": report.hypothesis_length,
-        "ref_length": report.reference_length,
+        f"{prefix}bleu": report.score,
+        f"{prefix}precisions": list(report.precisions),
+        f"{prefix}brevity_penalty": report.brevity_penalty,
+        f"{prefix}hyp_length": report.hypothesis_length,
+        f"{prefix}ref_length": report.reference_length,
     }
 
 
 def report_record(report: InterlinguaReport) -> dict:
     """Flat JSON-friendly record with all three scores and n-gram detail."""
-
-    def expand(tag: str, r: BleuReport) -> dict:
-        return {
-            f"{tag}_bleu": r.score,
-            f"{tag}_precisions": list(r.precisions),
-            f"{tag}_brevity_penalty": r.brevity_penalty,
-            f"{tag}_hyp_length": r.hypothesis_length,
-            f"{tag}_ref_length": r.reference_length,
-        }
-
     record = {"decoder": report.decoder_lang, "encoder": report.encoder_lang}
-    record.update(expand("autoencoder", report.bleu_autoencoder))
-    record.update(expand("translation", report.bleu_translation))
-    record.update(expand("agreement", report.bleu_agreement))
+    record.update(bleu_record(report.bleu_autoencoder, "autoencoder"))
+    record.update(bleu_record(report.bleu_translation, "translation"))
+    record.update(bleu_record(report.bleu_agreement, "agreement"))
     return record
 
 

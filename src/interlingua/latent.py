@@ -26,15 +26,6 @@ CORR_EPS = 1e-8
 COMMITMENT_BETA = 0.25
 
 
-@dataclass
-class LatentBatch:
-    """Encoder output for one batch: per-token states plus pooled summaries."""
-
-    raw: Tensor  # [B, T, D]
-    pooled: Tensor  # [B, D]
-    pad_mask: np.ndarray  # [B, T] bool, True where the token is real
-
-
 def pool(raw: Tensor, pad_mask) -> Tensor:
     """Mean over non-pad time steps, per sentence."""
     mask = np.asarray(pad_mask, dtype=bool)
@@ -46,10 +37,6 @@ def pool(raw: Tensor, pad_mask) -> Tensor:
         raise DegenerateBatchError(f"rows {rows.tolist()} contain only padding")
     weighted = T.mul(raw, mask[:, :, None].astype(np.float64))
     return T.mul(T.reduce_sum(weighted, axis=1), (1.0 / counts)[:, None])
-
-
-def latent_batch(raw: Tensor, pad_mask) -> LatentBatch:
-    return LatentBatch(raw=raw, pooled=pool(raw, pad_mask), pad_mask=np.asarray(pad_mask, bool))
 
 
 def _check_pair(hx, hy):

@@ -16,8 +16,6 @@ import numpy as np
 
 from .exceptions import ContractError, DegenerateBatchError, ShapeError, TapeError
 
-PAD_ID = 0
-
 
 class GradTape:
     """Append-only record of differentiable operations.
@@ -380,7 +378,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _make(out, (x, dx), (gain, dgain), (bias, dbias))
 
 
-def cross_entropy(logits, targets, pad_id: int = PAD_ID) -> Tensor:
+def cross_entropy(logits, targets, pad_id: int = 0) -> Tensor:
     """Mean negative log-likelihood over non-pad target positions.
 
     ``logits`` has one trailing vocabulary axis beyond the target shape.

@@ -10,7 +10,6 @@ have gone. Checkpoints are a deterministic binary container.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .data import ParallelCorpus
+from .data import ParallelCorpus, read_array, read_header, write_header
 from .exceptions import (
     CheckpointError,
     CompatibilityError,
@@ -42,6 +41,8 @@ DISTANCE_MODES = ("corr", "max", "none")
 
 CHECKPOINT_MAGIC = b"ULRC"
 CHECKPOINT_VERSION = 1
+# the checkpoint header's magic: file type, then the format version
+_CHECKPOINT_LEAD = CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
 
 
 @dataclass
@@ -184,7 +185,9 @@ def shift_targets(tokens: np.ndarray) -> np.ndarray:
     return out
 
 
-def joint_loss(batch: PairBatch, system: System, cfg: TrainConfig) -> tuple[Tensor, dict]:
+def joint_loss(
+    batch: PairBatch, system: System, cfg: TrainConfig, dropout_rng=None
+) -> tuple[Tensor, dict]:
     """Five-term objective over one parallel batch.
 
     Each encoder runs once; its states feed both the matching decoder
@@ -192,7 +195,8 @@ def joint_loss(batch: PairBatch, system: System, cfg: TrainConfig) -> tuple[Tens
     distance term compares pooled pre-quantization latents. Returns the
     scalar total and a float breakdown whose weighted sum reproduces the
     total exactly; the breakdown always carries a measured correlation
-    distance diagnostic, whatever the configured mode.
+    distance diagnostic, whatever the configured mode. Dropout (at the
+    model's rate) applies only when ``dropout_rng`` is given.
     """
     for lang in (batch.lang_x, batch.lang_y):
         if lang not in system.modules:
@@ -202,8 +206,8 @@ def joint_loss(batch: PairBatch, system: System, cfg: TrainConfig) -> tuple[Tens
     mx, my = system.modules[batch.lang_x], system.modules[batch.lang_y]
     mask_x, mask_y = pad_mask(batch.x), pad_mask(batch.y)
 
-    hx = encode(mx, batch.x)
-    hy = encode(my, batch.y)
+    hx = encode(mx, batch.x, dropout_rng)
+    hy = encode(my, batch.y, dropout_rng)
     pooled_x = pool(hx, mask_x)
     pooled_y = pool(hy, mask_y)
 
@@ -219,10 +223,10 @@ def joint_loss(batch: PairBatch, system: System, cfg: TrainConfig) -> tuple[Tens
         dec_x, dec_y = hx, hy
 
     in_x, in_y = shift_targets(batch.x), shift_targets(batch.y)
-    l_xx = T.cross_entropy(decode_teacher_forced(mx, dec_x, mask_x, in_x), batch.x)
-    l_yy = T.cross_entropy(decode_teacher_forced(my, dec_y, mask_y, in_y), batch.y)
-    l_xy = T.cross_entropy(decode_teacher_forced(my, dec_x, mask_x, in_y), batch.y)
-    l_yx = T.cross_entropy(decode_teacher_forced(mx, dec_y, mask_y, in_x), batch.x)
+    l_xx = T.cross_entropy(decode_teacher_forced(mx, dec_x, mask_x, in_x, dropout_rng), batch.x)
+    l_yy = T.cross_entropy(decode_teacher_forced(my, dec_y, mask_y, in_y, dropout_rng), batch.y)
+    l_xy = T.cross_entropy(decode_teacher_forced(my, dec_x, mask_x, in_y, dropout_rng), batch.y)
+    l_yx = T.cross_entropy(decode_teacher_forced(mx, dec_y, mask_y, in_x, dropout_rng), batch.x)
 
     if cfg.distance_mode == "corr":
         dist = corr_distance(pooled_x, pooled_y)
@@ -230,6 +234,11 @@ def joint_loss(batch: PairBatch, system: System, cfg: TrainConfig) -> tuple[Tens
         dist = max_distance(pooled_x, pooled_y)
     else:
         dist = Tensor(0.0)
+
+    # the diagnostic reuses the distance term when it already is the correlation
+    corr = dist if cfg.distance_mode == "corr" else corr_distance(
+        Tensor(pooled_x.array), Tensor(pooled_y.array)
+    )
 
     w = cfg.loss_weights
     total = T.mul(l_xx, w[0])
@@ -246,9 +255,7 @@ def joint_loss(batch: PairBatch, system: System, cfg: TrainConfig) -> tuple[Tens
         "l_xy": l_xy.item(),
         "l_yx": l_yx.item(),
         "distance": dist.item(),
-        "corr_distance": float(
-            corr_distance(Tensor(pooled_x.array), Tensor(pooled_y.array)).array
-        ),
+        "corr_distance": float(corr.array),
     }
     if vq is not None:
         components["vq"] = vq.item()
@@ -294,7 +301,9 @@ def train_step(
     try:
         for n in names:
             tape.watch(params[n])
-        loss, components = joint_loss(batch, system, cfg)
+        # stateless masks keyed like the batch draw, so resume stays exact
+        dropout_rng = derive_rng(cfg.seed, "dropout", state.step)
+        loss, components = joint_loss(batch, system, cfg, dropout_rng)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise DivergenceError(
@@ -411,10 +420,6 @@ def add_language(
     return system, state
 
 
-def _header_bytes(header: dict) -> bytes:
-    return json.dumps(header, sort_keys=True).encode("utf-8")
-
-
 def save_checkpoint(
     system: System,
     state: TrainState,
@@ -446,12 +451,8 @@ def save_checkpoint(
         "step": state.step,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-    blob = _header_bytes(header)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
+        write_header(fh, _CHECKPOINT_LEAD, header)
         for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -460,13 +461,7 @@ def load_checkpoint(
     path, expected_vocab_hashes: dict[str, str] | None = None
 ) -> tuple[System, TrainState, TrainConfig | None]:
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"not a checkpoint file: {path}")
-        version = int.from_bytes(fh.read(4), "little")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
-        size = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(size).decode("utf-8"))
+        header = read_header(fh, _CHECKPOINT_LEAD, path)
         stored_hashes = header.get("vocab_hashes") or {}
         if expected_vocab_hashes is not None:
             for lang, want in expected_vocab_hashes.items():
@@ -491,11 +486,7 @@ def load_checkpoint(
         state = TrainState(step=int(header["step"]))
         loaded: dict[str, np.ndarray] = {}
         for name, shape in header["arrays"]:
-            n_items = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * n_items)
-            if len(buf) != 8 * n_items:
-                raise CheckpointError(f"truncated checkpoint: {path}")
-            loaded[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            loaded[name] = read_array(fh, "<f8", shape, path).copy()
         for name, t in params.items():
             if name not in loaded:
                 raise CheckpointError(f"checkpoint missing parameter {name}")

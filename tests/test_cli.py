@@ -2,6 +2,7 @@
 
 import configparser
 import json
+import shutil
 import struct
 import xml.etree.ElementTree as ET
 
@@ -353,6 +354,58 @@ class TestEvalCommands:
             assert err.startswith("error: checkpoint:")
         finally:
             vocab_file.write_text(original, encoding="utf-8")
+
+
+def one_error_line(err, category):
+    assert err.startswith(f"error: {category}:"), err
+    assert err.count("\n") == 1, err
+
+
+class TestLoaderFailures:
+    def test_missing_prepared_artifacts(self, project, capsys):
+        source = str(project.parent / "toydata" / "test.x")
+        for argv in (
+            ["train"], ["eval"], ["interlingua-eval"], ["viz"],
+            ["translate", "--src", "x", "--tgt", "y", "--input", source],
+        ):
+            code, _, err = run(capsys, *argv, "--config", str(project))
+            assert code == 1, argv
+            one_error_line(err, "config")
+            assert "prepare" in err, argv
+
+    def test_missing_test_corpus(self, project, capsys):
+        no_test = ["--set", "data.test_x=", "--set", "data.test_y="]
+        assert run(capsys, "prepare", "--config", str(project), *no_test)[0] == 0
+        assert run(capsys, "train", "--config", str(project), "--steps", "1")[0] == 0
+        for command in ("eval", "interlingua-eval"):
+            code, _, err = run(capsys, command, "--config", str(project), "--split", "test")
+            assert code == 1
+            one_error_line(err, "config")
+            assert "prepare" in err
+
+    def test_missing_checkpoint(self, project, capsys):
+        assert run(capsys, "prepare", "--config", str(project))[0] == 0
+        for extra in ([], ["--checkpoint", str(project.parent / "absent.ckpt")]):
+            code, _, err = run(capsys, "eval", "--config", str(project), *extra)
+            assert code == 1
+            one_error_line(err, "config")
+            assert "--checkpoint" in err
+
+    def test_damaged_headers_give_one_checkpoint_error(self, trained_project, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(out_dir(trained_project), run_dir)
+        for name in ("checkpoint-final.ckpt", "corpus-test.bin"):
+            target = run_dir / name
+            original = target.read_bytes()
+            flipped = bytearray(original)
+            flipped[20] ^= 0xFF  # inside the JSON header of both formats
+            target.write_bytes(bytes(flipped))
+            code, _, err = run(
+                capsys, "eval", "--config", str(trained_project), "--set", f"output.dir={run_dir}"
+            )
+            target.write_bytes(original)
+            assert code == 1, name
+            one_error_line(err, "checkpoint")
 
 
 class TestViz:

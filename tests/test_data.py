@@ -237,3 +237,38 @@ class TestCorpusSerialization:
         path.write_bytes(b"nope" + b"\x00" * 16)
         with pytest.raises(CheckpointError):
             D.read_corpus(path)
+
+    def test_empty_corpus_stays_empty(self, tmp_path):
+        empty = D.ParallelCorpus(languages=("x", "y"), sequences={"x": [], "y": []})
+        path = tmp_path / "empty.bin"
+        D.save_corpus(empty, path)
+        loaded = D.read_corpus(path)
+        assert len(loaded) == 0
+        assert loaded.sequences == {"x": [], "y": []}
+
+    def test_damaged_file_raises_or_loads_identically(self, tmp_path):
+        corpus = self.make_corpus(tmp_path)
+        path = tmp_path / "corpus.bin"
+        D.save_corpus(corpus, path)
+        raw = path.read_bytes()
+        body = 12 + int.from_bytes(raw[4:12], "little")
+        damaged = [raw[:cut] for cut in range(len(raw) + 1)]
+        for pos in np.random.default_rng(0).choice(body, size=64, replace=False):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 0xFF
+            damaged.append(bytes(flipped))
+        loads = 0
+        for blob in damaged:
+            path.write_bytes(blob)
+            try:
+                loaded = D.read_corpus(path)
+            except CheckpointError:
+                continue
+            loads += 1
+            assert loaded.languages == corpus.languages
+            assert loaded.provenance == corpus.provenance
+            for lang in corpus.languages:
+                assert len(loaded.sequences[lang]) == len(corpus.sequences[lang])
+                for a, b in zip(corpus.sequences[lang], loaded.sequences[lang]):
+                    np.testing.assert_array_equal(a, b)
+        assert loads == 1  # only the whole file loads

@@ -325,6 +325,32 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_damaged_header_raises_or_loads_identically(self, toy_corpus, tmp_path):
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(system, TrainState(), path)
+        raw = path.read_bytes()
+        body = 16 + int.from_bytes(raw[8:16], "little")
+        rng = np.random.default_rng(0)
+        damaged = [raw[:cut] for cut in range(body + 1)]
+        damaged += [raw[:cut] for cut in rng.integers(body, len(raw), size=16)]
+        for pos in rng.choice(body, size=64, replace=False):
+            flipped = bytearray(raw)
+            flipped[pos] ^= 0xFF
+            damaged.append(bytes(flipped))
+        damaged.append(raw)
+        loads = 0
+        for blob in damaged:
+            path.write_bytes(blob)
+            try:
+                loaded, _, _ = load_checkpoint(path)
+            except CheckpointError:
+                continue
+            loads += 1
+            assert loaded.parameter_hash() == system.parameter_hash()
+        assert loads == 1  # only the undamaged file loads
+
     def test_quantizer_survives_round_trip(self, toy_corpus, tmp_path):
         corpus, vocabs, _, _ = toy_corpus
         system = build_system(
@@ -367,6 +393,38 @@ class TestResume:
             assert np.array_equal(m, lm) and np.array_equal(v, lv)
         tail = [h["loss"] for h in final_state.history]
         assert tail == [h["loss"] for h in straight_state.history[3:]]
+
+
+class TestDropout:
+    def trained(self, vocabs, corpus, dropout, steps=3):
+        system = small_system(vocabs, seed=2, dropout=dropout)
+        train(system, TrainState(), corpus, fast_train_config(max_steps=steps))
+        return system.parameter_hash()
+
+    def test_dropout_changes_training(self, toy_corpus):
+        corpus, vocabs, _, _ = toy_corpus
+        assert self.trained(vocabs, corpus, 0.5) != self.trained(vocabs, corpus, 0.0)
+
+    def test_same_seed_runs_are_identical(self, toy_corpus):
+        corpus, vocabs, _, _ = toy_corpus
+        assert self.trained(vocabs, corpus, 0.5) == self.trained(vocabs, corpus, 0.5)
+
+    def test_resume_from_periodic_checkpoint_matches_straight_run(self, toy_corpus, tmp_path):
+        corpus, vocabs, _, _ = toy_corpus
+        cfg = fast_train_config(max_steps=6)
+        path = tmp_path / "step3.ckpt"
+        straight = small_system(vocabs, seed=2, dropout=0.5)
+        state = TrainState()
+
+        def periodic(report):
+            if report["step"] == 3:
+                save_checkpoint(straight, state, path, train_config=cfg)
+
+        train(straight, state, corpus, cfg, log_fn=periodic)
+        resumed, resumed_state, _ = load_checkpoint(path)
+        assert resumed.config.dropout == 0.5 and resumed_state.step == 3
+        train(resumed, resumed_state, corpus, cfg)
+        assert resumed.parameter_hash() == straight.parameter_hash()
 
 
 class TestAddLanguage:
