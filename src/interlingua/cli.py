@@ -421,7 +421,8 @@ def cmd_train(args) -> int:
         if args.resume:
             # the current config stays authoritative; the checkpoint supplies
             # parameters, optimizer moments, and the step counter
-            system, state, _ = load_checkpoint(final, expected_vocab_hashes=hashes)
+            resumed = require_file(final, "train first or drop --resume")
+            system, state, _ = load_checkpoint(resumed, expected_vocab_hashes=hashes)
             log_mode = "a"
             if state.step >= train_cfg.max_steps:
                 print(f"train: checkpoint already at step {state.step}, nothing to do")
@@ -525,11 +526,14 @@ def cmd_translate(args) -> int:
         return 0
 
     keep = system.config.max_len - 1  # room for the terminator
-    rows = [vocabs[src].encode(D.apply_bpe(bpe_src, line))[:keep] + [EOS_ID] for line in lines]
+    encoded = [vocabs[src].encode(D.apply_bpe(bpe_src, line)) for line in lines]
+    rows = [ids[:keep] + [EOS_ID] for ids in encoded]
     decoded = decode_corpus_side(system, tgt, src, _pad_rows(rows), vocabs[tgt])
     text = [D.detokenize(D.reverse_bpe(toks)) for toks in decoded]
     output_path.write_text("\n".join(text) + "\n", encoding="utf-8")
-    print(f"translate: {len(lines)} lines {src}->{tgt} -> {output_path}")
+    cut = sum(len(ids) > keep for ids in encoded)
+    note = f" ({cut} truncated to {keep} subwords)" if cut else ""
+    print(f"translate: {len(lines)} lines {src}->{tgt}{note} -> {output_path}")
     return 0
 
 

@@ -322,14 +322,34 @@ def read_header(fh, magic: bytes, path) -> dict:
     return header
 
 
+def header_field(header: dict, key: str, kind, path, item=None):
+    """``header[key]`` checked to be a ``kind``, and with ``item`` every list
+    entry or dict value an ``item``; else CheckpointError."""
+    value = header.get(key)
+    ok = key in header and isinstance(value, kind)
+    if ok and item is not None and value is not None:
+        ok = all(isinstance(e, item) for e in (value.values() if isinstance(value, dict) else value))
+    if not ok:
+        raise CheckpointError(f"damaged header in {path}: field {key!r} is missing or mistyped")
+    return value
+
+
 def read_array(fh, dtype: str, shape, path) -> np.ndarray:
     """The next array of ``shape`` from the payload; raises on a short read."""
+    if not isinstance(shape, (list, tuple)) or not all(isinstance(n, int) and n >= 0 for n in shape):
+        raise CheckpointError(f"damaged header in {path}: bad array shape {shape!r}")
     dtype = np.dtype(dtype)
     size = dtype.itemsize * int(np.prod(shape))
     buf = fh.read(size)
     if len(buf) != size:
         raise CheckpointError(f"truncated file: {path}")
     return np.frombuffer(buf, dtype=dtype).reshape(shape)
+
+
+def expect_end(fh, path):
+    """Raise CheckpointError unless the last array ended the file."""
+    if fh.read(1):
+        raise CheckpointError(f"trailing bytes after the last array in {path}")
 
 
 def save_corpus(corpus: ParallelCorpus, path):
@@ -355,15 +375,18 @@ def read_corpus(path) -> ParallelCorpus:
         header = read_header(fh, CORPUS_MAGIC, path)
         if header.get("version") != CORPUS_VERSION:
             raise CheckpointError(f"unsupported corpus version in {path}")
-        languages = tuple(header["languages"])
+        languages = tuple(header_field(header, "languages", list, path, str))
+        all_lengths = header_field(header, "lengths", dict, path)
+        provenance = header_field(header, "provenance", dict, path)
         sequences: dict[str, list[np.ndarray]] = {}
         for lang in languages:
             # one read per side, split by the row lengths: a read per row
             # costs several times more on corpora of thousands of pairs
-            lengths = header["lengths"][lang]
+            lengths = header_field(all_lengths, lang, list, path, int)
             side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
             sequences[lang] = np.split(side, np.cumsum(lengths)[:-1]) if lengths else []
-    return ParallelCorpus(languages=languages, sequences=sequences, provenance=header["provenance"])
+        expect_end(fh, path)
+    return ParallelCorpus(languages=languages, sequences=sequences, provenance=provenance)
 
 
 def file_sha256(path) -> str:

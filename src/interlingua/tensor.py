@@ -266,8 +266,7 @@ def matmul(a, b) -> Tensor:
 def transpose(a, axes) -> Tensor:
     aa = _as_array(a)
     axes = tuple(axes)
-    inv = tuple(int(i) for i in np.argsort(axes))
-    return _make(np.transpose(aa, axes), (a, lambda g: np.transpose(g, inv)))
+    return _make(aa.transpose(axes), (a, lambda g: g.transpose(np.argsort(axes))))
 
 
 def reshape(a, shape) -> Tensor:
@@ -338,9 +337,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     aa = _as_array(a)
     if not -aa.ndim <= axis < aa.ndim:
         raise ShapeError(f"softmax axis {axis} out of bounds for shape {aa.shape}")
-    shifted = aa - np.max(aa, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(aa - aa.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
 
     def fn(g):
         return s * (g - np.sum(g * s, axis=axis, keepdims=True))
@@ -354,9 +352,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     d = xa.shape[-1]
     if ga.shape != (d,) or ba.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {ga.shape} and {ba.shape}")
-    mu = xa.mean(axis=-1, keepdims=True)
-    xc = xa - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    # sum / d is what mean() computes, without its per-call Python overhead
+    xc = xa - xa.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * ga + ba

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .data import ParallelCorpus, read_array, read_header, write_header
+from .data import ParallelCorpus, expect_end, header_field, read_array, read_header, write_header
 from .exceptions import (
     CheckpointError,
     CompatibilityError,
@@ -462,7 +462,7 @@ def load_checkpoint(
 ) -> tuple[System, TrainState, TrainConfig | None]:
     with open(path, "rb") as fh:
         header = read_header(fh, _CHECKPOINT_LEAD, path)
-        stored_hashes = header.get("vocab_hashes") or {}
+        stored_hashes = header_field(header, "vocab_hashes", dict, path, str)
         if expected_vocab_hashes is not None:
             for lang, want in expected_vocab_hashes.items():
                 got = stored_hashes.get(lang)
@@ -470,23 +470,38 @@ def load_checkpoint(
                     raise CheckpointError(
                         f"vocabulary hash mismatch for {lang!r}: checkpoint has {got}, caller has {want}"
                     )
-        config = ModelConfig(**header["model_config"])
+        languages = header_field(header, "languages", list, path, str)
+        vocab_sizes = header_field(header, "vocab_sizes", dict, path, int)
+        q = header_field(header, "quantizer", (dict, type(None)), path, int)
+        step = header_field(header, "step", int, path)
+        arrays = header_field(header, "arrays", list, path, list)
+        if not all(len(entry) == 2 and isinstance(entry[0], str) for entry in arrays):
+            raise CheckpointError(f"damaged header in {path}: field 'arrays' is mistyped")
+        model_fields = header_field(header, "model_config", dict, path)
+        train_fields = header_field(header, "train_config", (dict, type(None)), path)
+        try:
+            config = ModelConfig(**model_fields)
+            train_config = None if train_fields is None else TrainConfig(**train_fields)
+        except (TypeError, ValueError, ConfigError) as err:
+            raise CheckpointError(f"damaged header in {path}: {err}") from None
         modules = {
-            lang: LanguageModule(lang, config, vocab_size=header["vocab_sizes"][lang])
-            for lang in header["languages"]
+            lang: LanguageModule(lang, config, vocab_size=header_field(vocab_sizes, lang, int, path))
+            for lang in languages
         }
         codebook = None
-        q = header.get("quantizer")
         if q is not None:
-            codebook = init_codebook(q["n_tables"], q["entries"], config.d_model)
+            codebook = init_codebook(
+                header_field(q, "n_tables", int, path), header_field(q, "entries", int, path), config.d_model
+            )
         system = System(
             config=config, modules=modules, codebook=codebook, vocab_hashes=dict(stored_hashes)
         )
         params = system.named_parameters()
-        state = TrainState(step=int(header["step"]))
+        state = TrainState(step=step)
         loaded: dict[str, np.ndarray] = {}
-        for name, shape in header["arrays"]:
+        for name, shape in arrays:
             loaded[name] = read_array(fh, "<f8", shape, path).copy()
+        expect_end(fh, path)
         for name, t in params.items():
             if name not in loaded:
                 raise CheckpointError(f"checkpoint missing parameter {name}")
@@ -499,9 +514,4 @@ def load_checkpoint(
             m_key, v_key = f"adam_m/{name}", f"adam_v/{name}"
             if m_key in loaded:
                 state.moments[name] = (loaded[m_key], loaded[v_key])
-        train_config = None
-        if header.get("train_config"):
-            tc = dict(header["train_config"])
-            tc["loss_weights"] = tuple(tc["loss_weights"])
-            train_config = TrainConfig(**tc)
     return system, state, train_config

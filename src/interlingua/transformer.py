@@ -156,22 +156,37 @@ def _check_tokens(module: LanguageModule, tokens, what: str) -> np.ndarray:
     return tok
 
 
-def _attention(p: dict, prefix: str, q_in, k_in, v_in, bias, num_heads: int):
-    d = q_in.shape[-1]
-    dh = d // num_heads
-    q = T.add(T.matmul(q_in, p[prefix + "wq"]), p[prefix + "bq"])
-    k = T.add(T.matmul(k_in, p[prefix + "wk"]), p[prefix + "bk"])
-    v = T.add(T.matmul(v_in, p[prefix + "wv"]), p[prefix + "bv"])
-    b, tq = q.shape[0], q.shape[1]
+def _project(p: dict, prefix: str, x, name: str):
+    """One of an attention layer's input projections: ``name`` is q, k or v."""
+    return T.add(T.matmul(x, p[prefix + "w" + name]), p[prefix + "b" + name])
+
+
+def _attend(p: dict, prefix: str, q, k, v, bias, num_heads: int):
+    """Projected queries [B, Tq, d] over projected keys and values [B, Tk, d].
+
+    Splits heads, scales and masks the scores (``bias`` may be None),
+    then applies the softmax, the context and the output projection.
+    """
+    b, tq, d = q.shape
     tk = k.shape[1]
+    dh = d // num_heads
     q = T.transpose(T.reshape(q, (b, tq, num_heads, dh)), (0, 2, 1, 3))
     k = T.transpose(T.reshape(k, (b, tk, num_heads, dh)), (0, 2, 3, 1))
     v = T.transpose(T.reshape(v, (b, tk, num_heads, dh)), (0, 2, 1, 3))
-    scores = T.add(T.mul(T.matmul(q, k), dh ** -0.5), bias)
+    scores = T.mul(T.matmul(q, k), dh ** -0.5)
+    if bias is not None:
+        scores = T.add(scores, bias)
     weights = T.softmax(scores, axis=-1)
     ctx = T.matmul(weights, v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
     return T.add(T.matmul(ctx, p[prefix + "wo"]), p[prefix + "bo"])
+
+
+def _attention(p: dict, prefix: str, q_in, kv_in, bias, num_heads: int):
+    q = _project(p, prefix, q_in, "q")
+    k = _project(p, prefix, kv_in, "k")
+    v = _project(p, prefix, kv_in, "v")
+    return _attend(p, prefix, q, k, v, bias, num_heads)
 
 
 def _ffn(p: dict, prefix: str, x):
@@ -199,30 +214,30 @@ def _maybe_dropout(x, rate: float, rng):
     return x
 
 
+def _embed(module: LanguageModule, tok: np.ndarray, start: int = 0):
+    """Scaled token embeddings plus the positions ``start, start + 1, ...``."""
+    x = T.mul(T.embedding(module.params["emb"], tok), math.sqrt(module.config.d_model))
+    return T.add(x, module._pe[start : start + tok.shape[1]])
+
+
 def encode(module: LanguageModule, tokens, dropout_rng=None) -> Tensor:
     """Per-token states [B, T, d_model]; pad positions never influence real ones."""
     cfg = module.config
     tok = _check_tokens(module, tokens, "source")
     p = module.params
     bias = _key_bias(pad_mask(tok))
-    x = T.mul(T.embedding(p["emb"], tok), math.sqrt(cfg.d_model))
-    x = T.add(x, module._pe[: tok.shape[1]])
-    x = _maybe_dropout(x, cfg.dropout, dropout_rng)
+    x = _maybe_dropout(_embed(module, tok), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"enc.{i}."
         h = _ln(p, pre + "ln1.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, h, bias, cfg.num_heads), cfg.dropout, dropout_rng))
+        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, bias, cfg.num_heads), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln2.", x)
         x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
     return _ln(p, "enc.final.", x)
 
 
-def decode_teacher_forced(module: LanguageModule, latent, src_mask, target_in, dropout_rng=None) -> Tensor:
-    """Logits [B, T, V] for the shifted target given encoder states.
-
-    The latent may come from any language's encoder as long as its width
-    matches d_model; the source pad mask must travel with it.
-    """
+def _check_latent(module: LanguageModule, latent, src_mask) -> tuple[Tensor, np.ndarray]:
+    """The latent as a Tensor and its source mask, checked against the decoder."""
     cfg = module.config
     la = latent if isinstance(latent, Tensor) else Tensor(latent)
     if la.ndim != 3 or la.shape[-1] != cfg.d_model:
@@ -232,27 +247,65 @@ def decode_teacher_forced(module: LanguageModule, latent, src_mask, target_in, d
     src_mask = np.asarray(src_mask, dtype=bool)
     if src_mask.shape != la.shape[:2]:
         raise CompatibilityError(f"source mask {src_mask.shape} does not cover latent {la.shape}")
+    return la, src_mask
+
+
+def _cross_kv(module: LanguageModule, la) -> list:
+    """Each decoder block's cross-attention keys and values of the latent."""
+    prefixes = [f"dec.{i}.cross." for i in range(module.config.num_blocks)]
+    return [(_project(module.params, pre, la, "k"), _project(module.params, pre, la, "v")) for pre in prefixes]
+
+
+def _decoder_logits(
+    module: LanguageModule, x, cross_kv, cross_bias, self_bias, dropout_rng=None, cache=None, step: int = 0
+):
+    """Decoder blocks, final norm and output projection over embedded targets.
+
+    ``cross_kv[i]`` holds block i's keys and values of the latent. With a
+    ``cache`` [num_blocks, 2, B, max_steps, d_model], ``x`` is the single
+    position ``step``: its self-attention keys and values are stored at
+    ``step`` and its query attends over the cached positions 0..step.
+    """
+    cfg = module.config
+    p = module.params
+    x = _maybe_dropout(x, cfg.dropout, dropout_rng)
+    for i in range(cfg.num_blocks):
+        pre = f"dec.{i}."
+        h = _ln(p, pre + "ln1.", x)
+        q = _project(p, pre + "self.", h, "q")
+        k = _project(p, pre + "self.", h, "k")
+        v = _project(p, pre + "self.", h, "v")
+        if cache is not None:
+            cache[i, 0, :, step] = k.array[:, 0]
+            cache[i, 1, :, step] = v.array[:, 0]
+            k, v = cache[i, 0, :, : step + 1], cache[i, 1, :, : step + 1]
+        x = T.add(x, _maybe_dropout(_attend(p, pre + "self.", q, k, v, self_bias, cfg.num_heads), cfg.dropout, dropout_rng))
+        h = _ln(p, pre + "ln2.", x)
+        q = _project(p, pre + "cross.", h, "q")
+        k, v = cross_kv[i]
+        x = T.add(x, _maybe_dropout(_attend(p, pre + "cross.", q, k, v, cross_bias, cfg.num_heads), cfg.dropout, dropout_rng))
+        h = _ln(p, pre + "ln3.", x)
+        x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
+    x = _ln(p, "dec.final.", x)
+    return T.matmul(x, p["out_proj"])
+
+
+def decode_teacher_forced(module: LanguageModule, latent, src_mask, target_in, dropout_rng=None) -> Tensor:
+    """Logits [B, T, V] for the shifted target given encoder states.
+
+    The latent may come from any language's encoder as long as its width
+    matches d_model; the source pad mask must travel with it.
+    """
+    la, src_mask = _check_latent(module, latent, src_mask)
     tok = _check_tokens(module, target_in, "target")
     if tok.shape[0] != la.shape[0]:
         raise CompatibilityError(
             f"batch mismatch: latent has {la.shape[0]} rows, target has {tok.shape[0]}"
         )
-    p = module.params
-    causal = _causal_bias(tok.shape[1])
-    cross = _key_bias(src_mask)
-    x = T.mul(T.embedding(p["emb"], tok), math.sqrt(cfg.d_model))
-    x = T.add(x, module._pe[: tok.shape[1]])
-    x = _maybe_dropout(x, cfg.dropout, dropout_rng)
-    for i in range(cfg.num_blocks):
-        pre = f"dec.{i}."
-        h = _ln(p, pre + "ln1.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, h, causal, cfg.num_heads), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln2.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "cross.", h, la, la, cross, cfg.num_heads), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln3.", x)
-        x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
-    x = _ln(p, "dec.final.", x)
-    return T.matmul(x, p["out_proj"])
+    return _decoder_logits(
+        module, _embed(module, tok), _cross_kv(module, la), _key_bias(src_mask),
+        _causal_bias(tok.shape[1]), dropout_rng,
+    )
 
 
 def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> list[list[int]]:
@@ -261,31 +314,41 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
     Returns generated ids per row, excluding the seed and including the
     terminating eos when one was produced. Pad and bos can never be
     emitted. Ties in the argmax resolve to the lowest id.
+
+    The latent's cross-attention keys and values are projected once.
+    Each step embeds only the newest token, whose query attends over the
+    cached self-attention keys and values of the positions up to it, so
+    no step re-decodes the prefix. Rows leave the working batch when they
+    emit eos.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be positive, got {max_steps}")
-    if max_steps > module.config.max_len:
-        raise LengthError(
-            f"max_steps {max_steps} exceeds the position table ({module.config.max_len})"
-        )
-    la = Tensor(T._as_array(latent))  # decode runs forward-only, off any tape
+    cfg = module.config
+    if max_steps > cfg.max_len:
+        raise LengthError(f"max_steps {max_steps} exceeds the position table ({cfg.max_len})")
+    # forward only, off any tape and without dropout
+    la, src_mask = _check_latent(module, Tensor(T._as_array(latent)), src_mask)
     batch = la.shape[0]
-    cur = np.full((batch, 1), BOS_ID, dtype=np.int64)
-    alive = np.ones(batch, dtype=bool)
+    # [num_blocks, 2, B, S, d_model] like the cache, so dropping rows is one index
+    cross = np.array([[k.array, v.array] for k, v in _cross_kv(module, la)])
+    cross_bias = _key_bias(src_mask)
+    cache = np.empty((cfg.num_blocks, 2, batch, max_steps, cfg.d_model))
+    rows = np.arange(batch)  # original index of each working row
+    tok = np.full((batch, 1), BOS_ID, dtype=np.int64)
     outs: list[list[int]] = [[] for _ in range(batch)]
-    for _ in range(max_steps):
-        logits = decode_teacher_forced(module, la, src_mask, cur)
-        last = logits.array[:, -1, :].copy()
-        last[:, PAD_ID] = -np.inf
-        last[:, BOS_ID] = -np.inf
-        nxt = last.argmax(axis=-1)
-        nxt[~alive] = EOS_ID  # finished rows stay inert
-        for b in range(batch):
-            if alive[b]:
-                outs[b].append(int(nxt[b]))
-                if nxt[b] == EOS_ID:
-                    alive[b] = False
-        if not alive.any():
-            break
-        cur = np.concatenate([cur, nxt[:, None]], axis=1)
+    for step in range(max_steps):
+        x = _embed(module, tok, step)
+        logits = _decoder_logits(module, x, cross, cross_bias, None, cache=cache, step=step).array[:, 0]
+        logits[:, PAD_ID] = -np.inf
+        logits[:, BOS_ID] = -np.inf
+        nxt = logits.argmax(axis=-1)
+        for row, token in zip(rows, nxt):
+            outs[row].append(int(token))
+        live = nxt != EOS_ID
+        if not live.all():
+            rows, nxt, cross_bias = rows[live], nxt[live], cross_bias[live]
+            cross, cache = cross[:, :, live], cache[:, :, live]
+            if rows.size == 0:
+                break
+        tok = nxt[:, None]
     return outs

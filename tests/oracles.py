@@ -86,3 +86,32 @@ def reference_bleu(hypotheses, references) -> float:
         return 0.0
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return bp * math.exp(sum(math.log(p) for p in precisions) / 4.0) * 100.0
+
+
+def reference_greedy_decode(module, latent, src_mask, max_steps: int) -> list[list[int]]:
+    """Greedy decoding that re-runs the teacher-forced decoder on the whole
+    prefix at every step: quadratic in output length, but with no cache to
+    get wrong. Finished rows stay in the batch and emit nothing more.
+    """
+    from interlingua import transformer as M
+
+    la = np.asarray(getattr(latent, "array", latent), dtype=np.float64)
+    batch = la.shape[0]
+    cur = np.full((batch, 1), M.BOS_ID, dtype=np.int64)
+    alive = np.ones(batch, dtype=bool)
+    outs: list[list[int]] = [[] for _ in range(batch)]
+    for _ in range(max_steps):
+        last = M.decode_teacher_forced(module, la, src_mask, cur).array[:, -1, :].copy()
+        last[:, M.PAD_ID] = -np.inf
+        last[:, M.BOS_ID] = -np.inf
+        nxt = last.argmax(axis=-1)
+        nxt[~alive] = M.EOS_ID
+        for b in range(batch):
+            if alive[b]:
+                outs[b].append(int(nxt[b]))
+                if nxt[b] == M.EOS_ID:
+                    alive[b] = False
+        if not alive.any():
+            break
+        cur = np.concatenate([cur, nxt[:, None]], axis=1)
+    return outs

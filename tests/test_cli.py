@@ -301,6 +301,19 @@ class TestTranslate:
         assert code == 0
         assert output.read_text(encoding="utf-8") == ""
 
+    def test_truncated_inputs_are_counted(self, trained_project, tmp_path, capsys):
+        source = tmp_path / "long.x"
+        words = (trained_project.parent / "toydata" / "test.x").read_text(encoding="utf-8").split()
+        source.write_text(" ".join(words[:2]) + "\n" + " ".join(words * 4) + "\n", encoding="utf-8")
+        output = tmp_path / "long.y"
+        code, out, err = run(
+            capsys, "translate", "--config", str(trained_project),
+            "--src", "x", "--tgt", "y", "--input", str(source), "--output", str(output),
+        )
+        assert code == 0, err
+        assert "2 lines x->y (1 truncated to 15 subwords)" in out
+        assert len(output.read_text(encoding="utf-8").splitlines()) == 2
+
     def test_unknown_language_tag_is_config_error(self, trained_project, capsys):
         source = trained_project.parent / "toydata" / "test.x"
         code, _, err = run(
@@ -406,6 +419,55 @@ class TestLoaderFailures:
             target.write_bytes(original)
             assert code == 1, name
             one_error_line(err, "checkpoint")
+
+
+    def test_missing_or_mistyped_header_fields(self, trained_project, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(out_dir(trained_project), run_dir)
+        required = {
+            "checkpoint-final.ckpt": (8, ["vocab_hashes", "languages", "vocab_sizes", "quantizer",
+                                          "step", "arrays", "model_config", "train_config"]),
+            "corpus-test.bin": (4, ["version", "languages", "lengths", "provenance"]),
+        }
+        for name, (lead, keys) in required.items():
+            target = run_dir / name
+            original = target.read_bytes()
+            size = int.from_bytes(original[lead : lead + 8], "little")
+            header = json.loads(original[lead + 8 : lead + 8 + size])
+            payload = original[lead + 8 + size :]
+            variants = [{k: v for k, v in header.items() if k != key} for key in keys]
+            variants += [dict(header, **{key: "?"}) for key in keys]
+            for variant in variants:
+                blob = json.dumps(variant, sort_keys=True).encode("utf-8")
+                target.write_bytes(original[:lead] + len(blob).to_bytes(8, "little") + blob + payload)
+                code, _, err = run(
+                    capsys, "eval", "--config", str(trained_project), "--set", f"output.dir={run_dir}"
+                )
+                assert code == 1, (name, variant.keys())
+                one_error_line(err, "checkpoint")
+            target.write_bytes(original)
+
+    def test_trailing_bytes_rejected(self, trained_project, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(out_dir(trained_project), run_dir)
+        for name in ("checkpoint-final.ckpt", "corpus-test.bin"):
+            target = run_dir / name
+            original = target.read_bytes()
+            target.write_bytes(original + bytes(7))
+            code, _, err = run(
+                capsys, "eval", "--config", str(trained_project), "--set", f"output.dir={run_dir}"
+            )
+            target.write_bytes(original)
+            assert code == 1, name
+            one_error_line(err, "checkpoint")
+            assert "trailing bytes" in err
+
+    def test_resume_without_final_checkpoint(self, project, capsys):
+        assert run(capsys, "prepare", "--config", str(project))[0] == 0
+        code, _, err = run(capsys, "train", "--config", str(project), "--resume")
+        assert code == 1
+        one_error_line(err, "config")
+        assert "drop --resume" in err
 
 
 class TestViz:

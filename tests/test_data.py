@@ -257,6 +257,7 @@ class TestCorpusSerialization:
             flipped = bytearray(raw)
             flipped[pos] ^= 0xFF
             damaged.append(bytes(flipped))
+        damaged.append(raw + bytes(7))  # trailing bytes after the last array
         loads = 0
         for blob in damaged:
             path.write_bytes(blob)

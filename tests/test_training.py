@@ -339,6 +339,7 @@ class TestCheckpoint:
             flipped = bytearray(raw)
             flipped[pos] ^= 0xFF
             damaged.append(bytes(flipped))
+        damaged.append(raw + bytes(7))  # trailing bytes after the last array
         damaged.append(raw)
         loads = 0
         for blob in damaged:

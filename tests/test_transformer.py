@@ -11,7 +11,7 @@ from interlingua.exceptions import (
     ContractError,
     LengthError,
 )
-from oracles import assert_grad_close, finite_difference
+from oracles import assert_grad_close, finite_difference, reference_greedy_decode
 
 
 def tiny_config(**kw):
@@ -233,6 +233,84 @@ class TestGreedyDecode:
             M.greedy_decode(self.m, self.latent, self.mask, max_steps=0)
         with pytest.raises(LengthError):
             M.greedy_decode(self.m, self.latent, self.mask, max_steps=99)
+
+
+def untrained_pair(seed, batch=12, vocab=16):
+    """Encoder x, decoder y and a random source batch of mixed lengths.
+
+    At vocab 16 the untrained decoders stop rows at many different steps,
+    so the working batch of the cached decoder shrinks as it runs.
+    """
+    cfg = M.ModelConfig(num_blocks=2, num_heads=2, d_model=32, vocab_size=vocab, max_len=50)
+    mx = M.LanguageModule("x", cfg, seed=seed)
+    my = M.LanguageModule("y", cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(2, 30, size=batch)
+    src = np.zeros((batch, lengths.max()), dtype=np.int64)
+    for b, n in enumerate(lengths):
+        src[b, : n - 1] = rng.integers(4, vocab, size=n - 1)
+        src[b, n - 1] = M.EOS_ID
+    return my, M.encode(mx, src), M.pad_mask(src)
+
+
+class TestCachedDecodeAgainstOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tokens_match_quadratic_reference(self, seed):
+        my, latent, mask = untrained_pair(seed)
+        outs = M.greedy_decode(my, latent, mask, max_steps=50)
+        assert len({len(row) for row in outs}) > 1  # rows stop at different steps
+        assert outs == reference_greedy_decode(my, latent, mask, 50)
+
+    def test_step_logits_match_teacher_forcing(self, monkeypatch):
+        my, latent, mask = untrained_pair(2)
+        steps = []
+        original = M._decoder_logits
+
+        def spy(*args, **kwargs):
+            logits = original(*args, **kwargs)
+            steps.append(logits.array[:, 0].copy())
+            return logits
+
+        monkeypatch.setattr(M, "_decoder_logits", spy)
+        outs = M.greedy_decode(my, latent, mask, max_steps=50)
+        monkeypatch.undo()
+        assert len(steps) == max(len(row) for row in outs)
+        for b, row in enumerate(outs):
+            prefix = np.array([[M.BOS_ID] + row[:-1]])
+            forced = M.decode_teacher_forced(my, latent.array[b : b + 1], mask[b : b + 1], prefix).array[0]
+            for t in range(len(row)):
+                # working rows keep their original order and leave after emitting eos
+                live = [r for r in range(len(outs)) if len(outs[r]) > t]
+                np.testing.assert_allclose(steps[t][live.index(b)], forced[t], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 2, 5, 7])
+    def test_dvq_system_through_decode_corpus_side(self, tmp_path, seed):
+        from conftest import prepare_toy, small_model_config
+        from interlingua import evaluation as E
+        from interlingua.training import build_system, make_batch
+
+        corpus, vocabs, _, _ = prepare_toy(tmp_path, n_train=12)
+        sizes = {lang: len(v) for lang, v in vocabs.items()}
+        system = build_system(
+            small_model_config(num_blocks=2, d_model=32, max_len=50),
+            sizes, seed=seed, quantize_latent=True, vq_tables=2, vq_entries=8,
+        )
+        batch = make_batch(corpus, range(len(corpus)))
+        latent, mask = E._encode_for_decoding(system, "x", batch.x)
+        want = reference_greedy_decode(system.modules["y"], latent, mask, 50)
+        assert len({len(row) for row in want}) > 1
+        got = E.decode_corpus_side(system, "y", "x", batch.x, vocabs["y"])
+        assert got == [vocabs["y"].decode(ids) for ids in want]
+
+    def test_latent_checks(self):
+        my, latent, mask = untrained_pair(0, batch=2)
+        wide = M.LanguageModule("z", M.ModelConfig(d_model=8, num_heads=2, vocab_size=16, max_len=50), seed=0)
+        with pytest.raises(CompatibilityError):
+            M.greedy_decode(wide, latent, mask, max_steps=5)
+        with pytest.raises(CompatibilityError):
+            M.greedy_decode(my, latent.array[0], mask, max_steps=5)
+        with pytest.raises(CompatibilityError):
+            M.greedy_decode(my, latent, mask[:, :2], max_steps=5)
 
 
 class TestCompositeGradients:
