@@ -13,6 +13,7 @@ import argparse
 import configparser
 import json
 import os
+import socket
 import sys
 from pathlib import Path
 
@@ -237,27 +238,56 @@ def train_config_from(cp) -> TrainConfig:
 
 
 class OutputLock:
-    """Exclusive marker so two trainers never write one directory at once."""
+    """Exclusive marker so two trainers never write one directory at once.
+
+    The marker holds the owner's pid and host name. A marker whose pid no
+    longer runs on this host is left over from a killed run: it is
+    removed, with one line on stderr, and the lock is taken once more.
+    Any other marker blocks. Two processes that find the same stale
+    marker at the same moment can both get through.
+    """
 
     def __init__(self, out: Path):
         self.path = out / LOCK_FILE
 
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise LockError(
-                f"output directory is locked by {self.path} "
-                f"(held by pid {self.path.read_text(encoding='utf-8').strip() or '?'}; "
-                f"remove the file if that process is gone)"
-            ) from None
-        os.write(fd, f"{os.getpid()}\n".encode())
+    def _take(self):
+        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        os.write(fd, f"{os.getpid()} {socket.gethostname()}\n".encode())
         os.close(fd)
-        return self
+
+    def __enter__(self):
+        for attempt in range(2):
+            try:
+                self._take()
+                return self
+            except FileExistsError:
+                holder = self.path.read_text(encoding="utf-8").strip()
+            if attempt or not _is_stale(holder):
+                break
+            print(f"warning: removed stale lock {self.path} (pid {holder.split()[0]} is gone)", file=sys.stderr)
+            self.path.unlink(missing_ok=True)
+        raise LockError(
+            f"output directory is locked by {self.path} "
+            f"(held by pid and host {holder or '?'}; remove the file if that process is gone)"
+        )
 
     def __exit__(self, *exc):
         self.path.unlink(missing_ok=True)
         return False
+
+
+def _is_stale(holder: str) -> bool:
+    """True when a lock marker names this host and a pid that is not running."""
+    fields = holder.split()
+    if len(fields) != 2 or not fields[0].isdecimal() or fields[1] != socket.gethostname():
+        return False
+    try:
+        os.kill(int(fields[0]), 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass  # another user's process, or no valid pid
+    return False
 
 
 # ---------------------------------------------------------------- artifacts
@@ -349,11 +379,14 @@ def cmd_prepare(args) -> int:
     if lang_x == lang_y:
         raise ConfigError(f"lang_x and lang_y must differ, both are {lang_x!r}")
     max_words = cp["data"].getint("max_words")
+    # the longest id sequence, eos included, that the model will accept
+    max_len = cp["model"].getint("max_len")
 
     settings = {
         "bpe_merges": cp["data"].getint("bpe_merges"),
         "vocab_cap": cp["data"].getint("vocab_cap"),
         "max_words": max_words,
+        "max_len": max_len,
         "lang_x": lang_x,
         "lang_y": lang_y,
     }
@@ -386,7 +419,7 @@ def cmd_prepare(args) -> int:
             px, py, vocabs[lang_x], vocabs[lang_y],
             max_words=max_words,
             bpe_x=models[lang_x], bpe_y=models[lang_y],
-            lang_x=lang_x, lang_y=lang_y,
+            lang_x=lang_x, lang_y=lang_y, max_len=max_len,
         )
         D.save_corpus(corpus, corpus_path(out, split))
         prov = corpus.provenance
@@ -487,7 +520,7 @@ def cmd_add_language(args) -> int:
             train_anchor, train_new, load_vocabs(out, [anchor_lang])[anchor_lang], vocab_new,
             max_words=cp["data"].getint("max_words"),
             bpe_x=D.load_bpe(bpe_path(out, anchor_lang)), bpe_y=bpe_new,
-            lang_x=anchor_lang, lang_y=new_lang,
+            lang_x=anchor_lang, lang_y=new_lang, max_len=system.config.max_len,
         )
         D.save_corpus(corpus, corpus_path(out, f"extend-{new_lang}"))
 

@@ -249,12 +249,15 @@ def load_parallel(
     bpe_y: BpeModel | None = None,
     lang_x: str = "x",
     lang_y: str = "y",
+    max_len: int | None = None,
 ) -> ParallelCorpus:
     """Read two aligned text files into id sequences.
 
     Pairs where either side exceeds ``max_words`` word tokens (counted
-    before subword segmentation) are dropped together, so alignment is
-    preserved by construction. Each retained row ends with eos.
+    before subword segmentation), or, when ``max_len`` is given, where
+    either side's ids plus eos exceed ``max_len`` (the longest sequence a
+    model accepts), are dropped together, so alignment is preserved by
+    construction. Each retained row ends with eos.
     """
     if lang_x == lang_y:
         raise ConfigError(f"language tags must differ, both are {lang_x!r}")
@@ -277,8 +280,13 @@ def load_parallel(
         if not tokens_x or not tokens_y:
             dropped += 1
             continue
-        seq_x.append(np.array(vocab_x.encode(tokens_x) + [EOS_ID], dtype=np.int32))
-        seq_y.append(np.array(vocab_y.encode(tokens_y) + [EOS_ID], dtype=np.int32))
+        ids_x = vocab_x.encode(tokens_x) + [EOS_ID]
+        ids_y = vocab_y.encode(tokens_y) + [EOS_ID]
+        if max_len is not None and max(len(ids_x), len(ids_y)) > max_len:
+            dropped += 1
+            continue
+        seq_x.append(np.array(ids_x, dtype=np.int32))
+        seq_y.append(np.array(ids_y, dtype=np.int32))
         kept_lines.append(i)
     return ParallelCorpus(
         languages=(lang_x, lang_y),
@@ -289,6 +297,7 @@ def load_parallel(
             "dropped": dropped,
             "kept_line_numbers": kept_lines,
             "max_words": max_words,
+            "max_len": max_len,
         },
     )
 

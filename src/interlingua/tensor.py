@@ -128,7 +128,14 @@ class Tensor:
 
 
 class Gradients:
-    """Result of a backward pass, indexable by watched or recorded tensors."""
+    """Result of a backward pass, indexable by the watched leaves of its tape.
+
+    Each lookup returns a writable array that shares no memory with any
+    parameter or with another leaf's gradient; a leaf the loss does not
+    reach gets zeros. The sweep frees every recorded (non-leaf) node's
+    gradient once it has been passed on, so looking one up raises
+    ``TapeError`` rather than reading a freed slot as zeros.
+    """
 
     def __init__(self, tape: GradTape, values: list):
         self._tape = tape
@@ -137,6 +144,8 @@ class Gradients:
     def __getitem__(self, t: Tensor) -> np.ndarray:
         if not isinstance(t, Tensor) or t.tape is not self._tape or t.node is None:
             raise TapeError("tensor is not attached to the tape this pass ran on")
+        if self._tape._parents[t.node]:
+            raise TapeError("gradients of recorded tensors are freed by the sweep; watch a leaf instead")
         g = self._values[t.node]
         if g is None:
             return np.zeros(t.shape)
@@ -261,6 +270,31 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(np.matmul(np.swapaxes(aa, -1, -2), g), ba.shape)
 
     return _make(out, (a, da), (b, db))
+
+
+def linear(x, w, b=None) -> Tensor:
+    """``x[..., k] @ w[k, n] + b`` as one node.
+
+    The forward is a single 2-D GEMM over all leading axes of ``x``; the
+    backward is one GEMM for each of ``dx`` and ``dw`` and one column sum
+    for ``db``. ``b`` may be None.
+    """
+    xa, wa = _as_array(x), _as_array(w)
+    if xa.ndim < 1 or wa.ndim != 2 or xa.shape[-1] != wa.shape[0]:
+        raise ShapeError(f"linear needs x[..., k] and w[k, n], got {xa.shape} and {wa.shape}")
+    n = wa.shape[1]
+    if b is not None and _as_array(b).shape != (n,):
+        raise ShapeError(f"linear bias must have shape ({n},), got {_as_array(b).shape}")
+    x2 = xa.reshape(-1, wa.shape[0])
+    out = x2 @ wa
+    specs = [
+        (x, lambda g: (g.reshape(-1, n) @ wa.T).reshape(xa.shape)),
+        (w, lambda g: x2.T @ g.reshape(-1, n)),
+    ]
+    if b is not None:
+        out += _as_array(b)
+        specs.append((b, lambda g: g.reshape(-1, n).sum(axis=0)))
+    return _make(out.reshape(xa.shape[:-1] + (n,)), *specs)
 
 
 def transpose(a, axes) -> Tensor:
@@ -464,6 +498,15 @@ def backward(loss: Tensor) -> Gradients:
     Visits each recorded node exactly once in reverse execution order and
     accumulates contributions with addition, so the result is deterministic
     bit for bit across repeated runs on the same tape.
+
+    A recorded node's gradient is dropped as soon as it has been passed on
+    to its parents, so the sweep holds only the gradients still in flight
+    plus those of the leaves. Contributions are stored as the grad
+    closures return them and summed out of place, so a contribution that
+    aliases another slot (``add`` passes ``g`` itself to both operands) is
+    never written through; no closure may modify its ``g`` in place. A
+    leaf's first contribution is copied, which keeps the arrays handed out
+    by ``Gradients`` private and writable.
     """
     if not isinstance(loss, Tensor) or loss.array.ndim != 0:
         raise ContractError("backward needs a 0-d scalar tensor")
@@ -472,14 +515,18 @@ def backward(loss: Tensor) -> Gradients:
     tape = loss.tape
     values: list = [None] * len(tape)
     values[loss.node] = np.ones((), dtype=np.float64)
+    parents = tape._parents
     for idx in range(loss.node, -1, -1):
         g = values[idx]
-        if g is None:
+        if g is None or not parents[idx]:
             continue
-        for pidx, fn in zip(tape._parents[idx], tape._grad_fns[idx]):
+        values[idx] = None
+        for pidx, fn in zip(parents[idx], tape._grad_fns[idx]):
             contrib = fn(g)
-            if values[pidx] is None:
-                values[pidx] = np.array(contrib, dtype=np.float64)
+            if values[pidx] is not None:
+                values[pidx] = values[pidx] + contrib
+            elif parents[pidx]:
+                values[pidx] = contrib
             else:
-                values[pidx] += contrib
+                values[pidx] = np.array(contrib, dtype=np.float64)
     return Gradients(tape, values)

@@ -158,7 +158,7 @@ def _check_tokens(module: LanguageModule, tokens, what: str) -> np.ndarray:
 
 def _project(p: dict, prefix: str, x, name: str):
     """One of an attention layer's input projections: ``name`` is q, k or v."""
-    return T.add(T.matmul(x, p[prefix + "w" + name]), p[prefix + "b" + name])
+    return T.linear(x, p[prefix + "w" + name], p[prefix + "b" + name])
 
 
 def _attend(p: dict, prefix: str, q, k, v, bias, num_heads: int):
@@ -179,7 +179,7 @@ def _attend(p: dict, prefix: str, q, k, v, bias, num_heads: int):
     weights = T.softmax(scores, axis=-1)
     ctx = T.matmul(weights, v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-    return T.add(T.matmul(ctx, p[prefix + "wo"]), p[prefix + "bo"])
+    return T.linear(ctx, p[prefix + "wo"], p[prefix + "bo"])
 
 
 def _attention(p: dict, prefix: str, q_in, kv_in, bias, num_heads: int):
@@ -190,8 +190,8 @@ def _attention(p: dict, prefix: str, q_in, kv_in, bias, num_heads: int):
 
 
 def _ffn(p: dict, prefix: str, x):
-    h = T.relu(T.add(T.matmul(x, p[prefix + "w1"]), p[prefix + "b1"]))
-    return T.add(T.matmul(h, p[prefix + "w2"]), p[prefix + "b2"])
+    h = T.relu(T.linear(x, p[prefix + "w1"], p[prefix + "b1"]))
+    return T.linear(h, p[prefix + "w2"], p[prefix + "b2"])
 
 
 def _ln(p: dict, prefix: str, x):
@@ -287,7 +287,7 @@ def _decoder_logits(
         h = _ln(p, pre + "ln3.", x)
         x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
     x = _ln(p, "dec.final.", x)
-    return T.matmul(x, p["out_proj"])
+    return T.linear(x, p["out_proj"])
 
 
 def decode_teacher_forced(module: LanguageModule, latent, src_mask, target_in, dropout_rng=None) -> Tensor:

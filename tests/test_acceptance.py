@@ -145,7 +145,7 @@ def overfit(assets):
 
 VALUE_OPS = {
     "add", "sub", "mul", "div", "neg", "sqrt", "absolute", "relu",
-    "matmul", "transpose", "reshape", "concat",
+    "matmul", "linear", "transpose", "reshape", "concat",
     "reduce_sum", "reduce_mean", "reduce_max",
     "softmax", "layer_norm", "cross_entropy", "embedding", "dropout",
 }
@@ -183,6 +183,9 @@ def _op_cases(seed):
     targets[:, 1] = 5  # keep every row alive for the masked average
     table, ids, wemb = rng.normal(size=(7, 3)), rng.integers(0, 7, size=(2, 5)), rng.normal(size=(2, 5, 3))
     dx, wdx = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    lx, lw, lb = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+    wl2, wl3 = rng.normal(size=(3, 5)), rng.normal(size=(2, 3, 5))
+    lxt = rng.normal(size=(4, 3, 2))
 
     def s(t, wgt):
         return T.reduce_sum(T.mul(t, wgt))
@@ -198,6 +201,10 @@ def _op_cases(seed):
         ("relu", [signed], lambda tv: s(T.relu(tv), w)),
         ("matmul", [m1, m2], lambda t1, t2: s(T.matmul(t1, t2), wm)),
         ("matmul", [bm1, bm2], lambda t1, t2: s(T.matmul(t1, t2), wbm)),
+        ("linear", [m1, lw], lambda tx, tw: s(T.linear(tx, tw), wl2)),
+        ("linear", [lx, lw, lb], lambda tx, tw, tb: s(T.linear(tx, tw, tb), wl3)),
+        ("linear", [lxt, lw, lb], lambda tx, tw, tb: s(T.linear(T.transpose(tx, (2, 1, 0)), tw, tb), wl3)),
+        ("linear", [lw, lb], lambda tw, tb: s(T.linear(lxt.transpose(2, 1, 0), tw, tb), wl3)),
         ("transpose", [bm1], lambda tv: s(T.transpose(tv, (1, 0, 2)), wtr)),
         ("reshape", [a], lambda ta: s(T.reshape(ta, (2, 6)), w26)),
         ("concat", [c1, c2], lambda t1, t2: s(T.concat([t1, t2], axis=0), wc)),

@@ -2,8 +2,12 @@
 
 import configparser
 import json
+import os
 import shutil
+import socket
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -121,6 +125,27 @@ class TestPrepare:
         assert code == 0
         assert "unchanged" not in out
 
+    def test_pairs_longer_than_max_len_are_dropped(self, project, capsys):
+        # 12 unseen 6-letter words segment into about 72 ids, far beyond
+        # model.max_len; eval and interlingua-eval used to fail on the split
+        toy.write_toy_task(project.parent / "toydata", n_train=64, n_test=16, seed=0)
+        long_line = " ".join(["qwzjxv"] * 12)
+        for side in ("x", "y"):
+            path = project.parent / "toydata" / f"test.{side}"
+            path.write_text(path.read_text(encoding="utf-8") + long_line + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "prepare", "--config", str(project))
+        assert code == 0, err
+        assert "test: kept 16 pairs, dropped 1" in out
+        manifest = json.loads((out_dir(project) / "manifest.json").read_text())
+        assert manifest["settings"]["max_len"] == 16
+        assert run(capsys, "train", "--config", str(project), "--steps", "2")[0] == 0
+        for command in ("eval", "interlingua-eval"):
+            code, _, err = run(capsys, command, "--config", str(project), "--split", "test")
+            assert code == 0, err
+        code, out, _ = run(capsys, "prepare", "--config", str(project), "--set", "model.max_len=20")
+        assert code == 0
+        assert "unchanged" not in out
+
     def test_misaligned_corpora_fail_with_alignment_error(self, project, capsys):
         train_y = project.parent / "toydata" / "train.y"
         lines = train_y.read_text(encoding="utf-8").splitlines()
@@ -212,12 +237,28 @@ class TestTrain:
 
     def test_lock_blocks_concurrent_training(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
         lock = out_dir(project) / ".lock"
-        lock.write_text("12345\n", encoding="utf-8")
-        code, _, err = run(capsys, "train", "--config", str(project))
-        assert code == 1
-        assert err.startswith("error: lock:")
+        # a pid without host, a live pid on this host, a dead pid elsewhere
+        for holder in ("12345", f"{os.getpid()} {socket.gethostname()}", f"{child.pid} not-{socket.gethostname()}"):
+            lock.write_text(holder + "\n", encoding="utf-8")
+            code, _, err = run(capsys, "train", "--config", str(project))
+            assert code == 1
+            one_error_line(err, "lock")
+            assert lock.read_text(encoding="utf-8") == holder + "\n"
         lock.unlink()
+
+    def test_stale_lock_of_dead_process_is_taken_over(self, project, capsys):
+        run(capsys, "prepare", "--config", str(project))
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
+        lock = out_dir(project) / ".lock"
+        lock.write_text(f"{child.pid} {socket.gethostname()}\n", encoding="utf-8")
+        code, _, err = run(capsys, "train", "--config", str(project), "--steps", "1")
+        assert code == 0, err
+        assert err.count("\n") == 1 and "stale lock" in err and str(child.pid) in err
+        assert not lock.exists()
 
     def test_identical_seeds_give_byte_identical_checkpoints(self, tmp_path, capsys):
         checkpoints = []

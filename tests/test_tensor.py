@@ -1,5 +1,7 @@
 """Autodiff core: forward values, tape mechanics, gradients vs central differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,122 @@ class TestTapeMechanics:
         np.testing.assert_array_equal(grads[x], w)
 
 
+class TestGradientsContract:
+    def test_recorded_tensor_lookup_raises(self):
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor([1.0, 2.0]))
+        y = x * 3.0
+        loss = T.reduce_sum(y)
+        grads = T.backward(loss)
+        np.testing.assert_array_equal(grads[x], [3.0, 3.0])
+        for recorded in (y, loss):
+            with pytest.raises(TapeError):
+                grads[recorded]
+
+    def test_leaf_gradients_are_private_and_writable(self):
+        # each leaf's contribution aliases something: add passes g itself to
+        # both operands, reduce_sum a read-only broadcast view, reshape and
+        # transpose views of another gradient, straight_through g itself
+        rng = np.random.default_rng(3)
+        tape = T.GradTape()
+        arrays = [rng.normal(size=(2, 3)) for _ in range(5)]
+        a, b, c, d, e = (tape.watch(T.Tensor(arr)) for arr in arrays)
+        total = T.add(a, b)
+        total = T.add(total, T.reshape(c, (2, 3)))
+        total = T.add(total, T.transpose(T.reshape(d, (3, 2)), (1, 0)))
+        total = T.add(total, T.straight_through(e, arrays[4] + 1.0))
+        grads = T.backward(T.add(T.reduce_sum(total), T.reduce_sum(a)))
+        leaves = (a, b, c, d, e)
+        got = [grads[t] for t in leaves]
+        for i, g in enumerate(got):
+            assert g.flags.writeable
+            for t in leaves:
+                assert not np.shares_memory(g, t.array)
+            for other in got[i + 1 :]:
+                assert not np.shares_memory(g, other)
+        before = [g.copy() for g in got]
+        got[1] += 100.0
+        for g, want in zip(got[2:], before[2:]):
+            np.testing.assert_array_equal(g, want)
+        np.testing.assert_array_equal(grads[a], np.full((2, 3), 2.0))
+
+    def test_aliased_contributions_are_not_written_through(self):
+        # add hands one array to both u and v; u's later contribution from
+        # w must not be summed into that shared array before v reads it
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor([1.0, 2.0]))
+        u = x * 2.0
+        v = x * 3.0
+        w = u * u
+        z = T.add(u, v)
+        loss = T.add(T.reduce_sum(z * np.array([5.0, 7.0])), T.reduce_sum(w))
+        grads = T.backward(loss)
+        # d/dx [5,7]*(2x + 3x) + (2x)^2 = 25, 35 plus 8x
+        np.testing.assert_array_equal(grads[x], [33.0, 51.0])
+
+    def test_grad_closures_leave_g_untouched(self):
+        # a read-only g makes any in-place write inside a closure raise
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        pos = rng.uniform(0.5, 2.0, size=(3, 4))
+        mat, vec = rng.normal(size=(4, 2)), rng.normal(size=(2,))
+        gain, bias = rng.normal(size=(4,)), rng.normal(size=(4,))
+        targets = np.array([1, 2, 3])
+        ops = [
+            (lambda x, y: T.add(x, y), [a, b]),
+            (lambda x, y: T.sub(x, y), [a, b]),
+            (lambda x, y: T.mul(x, y), [a, b]),
+            (lambda x, y: T.div(x, y), [a, pos]),
+            (T.neg, [a]),
+            (T.sqrt, [pos]),
+            (T.absolute, [a]),
+            (T.relu, [a]),
+            (lambda x, w: T.matmul(x, w), [a, mat]),
+            (lambda x, w, c: T.linear(x, w, c), [a, mat, vec]),
+            (lambda x: T.transpose(x, (1, 0)), [a]),
+            (lambda x: T.reshape(x, (4, 3)), [a]),
+            (lambda x, y: T.concat([x, y], axis=0), [a, b]),
+            (lambda x: T.reduce_sum(x, axis=1), [a]),
+            (lambda x: T.reduce_mean(x, axis=0), [a]),
+            (T.reduce_max, [a]),
+            (lambda x: T.softmax(x, axis=-1), [a]),
+            (lambda x, g_, b_: T.layer_norm(x, g_, b_), [a, gain, bias]),
+            (lambda x: T.cross_entropy(x, targets), [a]),
+            (lambda x: T.embedding(x, np.array([[0, 2], [2, 1]])), [a]),
+            (lambda x: T.dropout(x, 0.5, np.random.default_rng(0)), [a]),
+            (lambda x: T.straight_through(x, b), [a]),
+        ]
+        for build, arrays in ops:
+            tape = T.GradTape()
+            out = build(*[tape.watch(T.Tensor(arr)) for arr in arrays])
+            g = rng.normal(size=out.shape)
+            g.flags.writeable = False
+            kept = g.copy()
+            for fn in tape._grad_fns[out.node]:
+                fn(g)
+            np.testing.assert_array_equal(g, kept)
+            tape.release()
+
+    def test_backward_frees_gradients_as_it_goes(self):
+        # 50 chained nodes of 1 MB each: keeping every node's gradient
+        # until the sweep ends would hold 50 MB
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor(np.ones(1 << 17)))
+        y = x
+        for _ in range(50):
+            y = T.mul(y, 1.0001)
+        loss = T.reduce_sum(y)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"backward peak {peak / 2**20:.1f} MB"
+        np.testing.assert_allclose(grads[x], np.full(1 << 17, 1.0001**50), rtol=1e-12)
+
+
 class TestGradientsAgainstFiniteDifferences:
     def test_elementwise_chain(self):
         for seed in range(5):
@@ -379,3 +497,60 @@ class TestGradientsAgainstFiniteDifferences:
             b = rng.uniform(1.0, 2.0, size=(2, 4))
             w = rng.normal(size=(3, 2, 4))
             check_against_fd(lambda ta, tb: T.reduce_sum((ta / tb) * w), [a, b])
+
+    def test_linear(self):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            x2, x3 = rng.normal(size=(3, 4)), rng.normal(size=(2, 3, 4))
+            xt = rng.normal(size=(4, 3, 2))
+            w, b = rng.normal(size=(4, 5)), rng.normal(size=(5,))
+            w2, w3 = rng.normal(size=(3, 5)), rng.normal(size=(2, 3, 5))
+
+            check_against_fd(lambda tx, tw: T.reduce_sum(T.linear(tx, tw) * w2), [x2, w])
+            check_against_fd(lambda tx, tw, tb: T.reduce_sum(T.linear(tx, tw, tb) * w2), [x2, w, b])
+            check_against_fd(lambda tx, tw, tb: T.reduce_sum(T.linear(tx, tw, tb) * w3), [x3, w, b])
+
+            # x reaches linear through a transpose: a recorded [2, 3, 4] input
+            def moved(tx, tw, tb):
+                return T.reduce_sum(T.linear(T.transpose(tx, (2, 1, 0)), tw, tb) * w3)
+
+            check_against_fd(moved, [xt, w, b])
+            # a non-contiguous constant x: only w and b are differentiated
+            const = xt.transpose(2, 1, 0)
+            assert not const.flags.c_contiguous
+            check_against_fd(lambda tw, tb: T.reduce_sum(T.linear(const, tw, tb) * w3), [w, b])
+
+    def test_linear_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(7)
+        w, b = rng.normal(size=(6, 5)), rng.normal(size=(5,))
+        cases = [
+            rng.normal(size=(4, 6)),
+            rng.normal(size=(3, 4, 6)),
+            rng.normal(size=(6, 4, 3)).transpose(2, 1, 0),
+        ]
+        for x in cases:
+            for with_bias in (True, False):
+                wgt = rng.normal(size=x.shape[:-1] + (5,))
+                results = []
+                for fast in (True, False):
+                    tape = T.GradTape()
+                    tx, tw, tb = (tape.watch(T.Tensor(arr)) for arr in (x, w, b))
+                    if fast:
+                        out = T.linear(tx, tw, tb if with_bias else None)
+                    else:
+                        out = T.matmul(tx, tw)
+                        out = T.add(out, tb) if with_bias else out
+                    grads = T.backward(T.reduce_sum(T.mul(out, wgt)))
+                    results.append([out.array] + [grads[t] for t in (tx, tw, tb)])
+                    tape.release()
+                for got, want in zip(*results):
+                    assert got.shape == want.shape
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_linear_shape_checks(self):
+        with pytest.raises(ShapeError):
+            T.linear(np.ones((2, 3)), np.ones((4, 5)))
+        with pytest.raises(ShapeError):
+            T.linear(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ShapeError):
+            T.linear(np.ones((2, 3)), np.ones((3, 5)), np.ones(4))

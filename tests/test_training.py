@@ -13,6 +13,7 @@ import pytest
 
 from conftest import fast_train_config, prepare_toy, small_model_config, small_system
 from interlingua import data as D
+from interlingua import tensor as T
 from interlingua import toy
 from interlingua.exceptions import (
     CheckpointError,
@@ -35,7 +36,7 @@ from interlingua.training import (
     train_step,
     weighted_component_sum,
 )
-from interlingua.transformer import BOS_ID, EOS_ID, PAD_ID, LanguageModule
+from interlingua.transformer import BOS_ID, EOS_ID, PAD_ID, LanguageModule, ModelConfig
 
 
 def snapshot(system, prefix=None):
@@ -228,6 +229,45 @@ class TestTrainStep:
         assert_bit_identical(frozen_before, params)
         changed = [n for n, old in live_before.items() if not np.array_equal(old, params[n].array)]
         assert changed, "no trainable parameter moved"
+
+    def test_linear_matches_matmul_plus_bias_at_wide_config(self, toy_corpus, monkeypatch):
+        # the medium width (d_model 128, 4 blocks, DVQ, max distance), then
+        # again with every linear layer run as the matmul + add it replaced:
+        # the gradients, and the parameters after one train step, must agree
+        corpus, vocabs, _, _ = toy_corpus
+        config = ModelConfig(num_blocks=4, num_heads=4, d_model=128, max_len=50)
+        cfg = fast_train_config(batch_size=32, distance_mode="max", quantize=True)
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, 0)
+        sizes = {lang: len(v) for lang, v in vocabs.items()}
+        runs = []
+        for composed in (False, True):
+            if composed:
+                monkeypatch.setattr(
+                    T, "linear", lambda x, w, b=None: T.matmul(x, w) if b is None else T.add(T.matmul(x, w), b)
+                )
+            system = build_system(
+                config, sizes, seed=0, quantize_latent=True, vq_tables=cfg.vq_tables, vq_entries=cfg.vq_entries
+            )
+            params = system.named_parameters()
+            tape = T.GradTape()
+            for t in params.values():
+                tape.watch(t)
+            grads = T.backward(joint_loss(batch, system, cfg)[0])
+            grads = {name: grads[t] for name, t in params.items()}
+            tape.release()
+            train_step(TrainState(), system, batch, cfg)
+            runs.append((grads, snapshot(system)))
+        (fast_grads, fast), (slow_grads, slow) = runs
+        for name, want in slow.items():
+            if name.endswith(".bk"):
+                # softmax cancels key biases: their gradient is rounding
+                # noise, which Adam's first step scales up to a tiny update
+                assert np.abs(fast_grads[name]).max() < 1e-12 and np.abs(slow_grads[name]).max() < 1e-12
+                assert np.abs(fast[name]).max() < 1e-8 and np.abs(want).max() < 1e-8, name
+                continue
+            for got, ref in ((fast_grads[name], slow_grads[name]), (fast[name], want)):
+                err = np.abs(got - ref).max() / np.abs(ref).max()
+                assert err < 1e-9, f"{name}: relative difference {err:.2e}"
 
     def test_unknown_trainable_name_rejected(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
