@@ -27,16 +27,22 @@ COMMITMENT_BETA = 0.25
 
 
 def pool(raw: Tensor, pad_mask) -> Tensor:
-    """Mean over non-pad time steps, per sentence."""
+    """Mean over non-pad time steps, per sentence.
+
+    ``raw`` is either padded states [B, T, D] or the packed rows [N, D] of
+    the mask's real positions in row-major order, as
+    ``encode(..., packed=True)`` returns them.
+    """
     mask = np.asarray(pad_mask, dtype=bool)
-    if raw.ndim != 3 or mask.shape != raw.shape[:2]:
+    if raw.ndim == 3 and mask.shape == raw.shape[:2]:
+        raw = T.pack(raw, mask)
+    elif not (raw.ndim == 2 and mask.ndim == 2 and raw.shape[0] == mask.sum()):
         raise ShapeError(f"raw {raw.shape} and mask {mask.shape} do not align")
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
         rows = np.flatnonzero(counts == 0)
         raise DegenerateBatchError(f"rows {rows.tolist()} contain only padding")
-    weighted = T.mul(raw, mask[:, :, None].astype(np.float64))
-    return T.mul(T.reduce_sum(weighted, axis=1), (1.0 / counts)[:, None])
+    return T.segment_mean(raw, counts)
 
 
 def _check_pair(hx, hy):
@@ -99,15 +105,17 @@ class Codebook:
         return self.n_tables * self.sub_dim
 
 
-def init_codebook(n_tables: int, entries: int, d_model: int, seed: int = 0) -> Codebook:
+def init_codebook(n_tables: int, entries: int, d_model: int, seed: int = 0, tables=None) -> Codebook:
+    """A seeded random codebook, or one holding the given ``tables`` arrays."""
     if n_tables < 1 or entries < 1:
         raise ConfigError(f"need at least one table and one entry, got {n_tables}/{entries}")
     if d_model % n_tables != 0:
         raise ConfigError(f"{n_tables} tables do not divide width {d_model}")
     sub = d_model // n_tables
-    rng = derive_rng(seed, "codebook")
-    tables = [Tensor(rng.normal(0.0, sub ** -0.5, size=(entries, sub))) for _ in range(n_tables)]
-    return Codebook(tables=tables, n_tables=n_tables, entries=entries, sub_dim=sub)
+    if tables is None:
+        rng = derive_rng(seed, "codebook")
+        tables = [rng.normal(0.0, sub ** -0.5, size=(entries, sub)) for _ in range(n_tables)]
+    return Codebook(tables=[Tensor(t) for t in tables], n_tables=n_tables, entries=entries, sub_dim=sub)
 
 
 def quantize(cb: Codebook, x) -> tuple[Tensor, np.ndarray, Tensor, Tensor]:

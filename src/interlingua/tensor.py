@@ -445,8 +445,12 @@ def cross_entropy(logits, targets, pad_id: int = 0) -> Tensor:
     return _make(loss, (logits, fn))
 
 
-def embedding(table, ids) -> Tensor:
-    """Row gather from a [V, D] table by an integer id array."""
+def embedding(table, ids, scale: float = 1.0, shift=None) -> Tensor:
+    """Row gather from a [V, D] table by an integer id array, as one node.
+
+    The gathered rows are multiplied by ``scale``, then the constant
+    ``shift`` (broadcast to the result; no gradient) is added.
+    """
     ta = _as_array(table)
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
@@ -454,13 +458,185 @@ def embedding(table, ids) -> Tensor:
     if ids.min() < 0 or ids.max() >= ta.shape[0]:
         raise ContractError(f"ids must lie in [0, {ta.shape[0]}), got [{ids.min()}, {ids.max()}]")
     out = ta[ids]
+    if scale != 1.0:
+        out *= scale
+    if shift is not None:
+        out += shift
+    shape = ta.shape
 
     def fn(g):
-        z = np.zeros_like(ta)
-        np.add.at(z, ids, g)
+        z = np.zeros(shape)
+        np.add.at(z, ids, g * scale if scale != 1.0 else g)
         return z
 
     return _make(out, (table, fn))
+
+
+def pack(x, mask) -> Tensor:
+    """The rows of ``x[B, T, ...]`` at the True entries of the [B, T]
+    ``mask``, in row-major order: a packed [N, ...] tensor."""
+    xa = _as_array(x)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or xa.shape[:2] != mask.shape:
+        raise ShapeError(f"mask {mask.shape} does not cover the leading axes of {xa.shape}")
+    shape = xa.shape
+
+    def fn(g):
+        z = np.zeros(shape)
+        z[mask] = g
+        return z
+
+    return _make(xa[mask], (x, fn))
+
+
+def unpack(rows, mask) -> Tensor:
+    """Inverse of ``pack``: [B, T, ...] with ``rows`` at the True entries
+    of ``mask`` and zeros everywhere else."""
+    ra = _as_array(rows)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or ra.shape[0] != mask.sum():
+        raise ShapeError(f"{ra.shape[0]} rows do not fill the {int(mask.sum())} entries of the mask")
+    out = np.zeros(mask.shape + ra.shape[1:])
+    out[mask] = ra
+    return _make(out, (rows, lambda g: g[mask]))
+
+
+def segment_mean(x, counts) -> Tensor:
+    """Means of consecutive runs of rows: row ``i`` of the result averages
+    the next ``counts[i]`` rows of ``x[N, D]``."""
+    xa = _as_array(x)
+    counts = np.asarray(counts)
+    if xa.ndim != 2 or counts.ndim != 1 or counts.sum() != xa.shape[0] or counts.min() < 1:
+        raise ShapeError(f"runs of {counts.tolist()} rows do not partition {xa.shape}")
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    inv = (1.0 / counts)[:, None]
+    out = np.add.reduceat(xa, starts, axis=0) * inv
+    return _make(out, (x, lambda g: np.repeat(g * inv, counts, axis=0)))
+
+
+def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """[B, T, d] to a [B, h, T, d / h] view, one slice per head."""
+    b, t, d = x.shape
+    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _heads(rows: np.ndarray, mask: np.ndarray, num_heads: int) -> np.ndarray:
+    """Packed rows [N, d] of ``mask``'s True entries as zero-padded heads [B, h, T, d / h]."""
+    dense = np.zeros(mask.shape + rows.shape[-1:])
+    dense[mask] = rows
+    return split_heads(dense, num_heads)
+
+
+def _rows(heads: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Inverse of ``_heads``: the rows [N, d] of ``mask``'s True entries."""
+    b, h, t, dh = heads.shape
+    return heads.transpose(0, 2, 1, 3)[mask].reshape(-1, h * dh)
+
+
+def attend(q: np.ndarray, q_mask: np.ndarray, k: np.ndarray, v: np.ndarray, bias, num_heads: int):
+    """Multi-head scaled dot-product attention of packed queries; forward only.
+
+    ``q`` [N, d] holds the projected queries of the True entries of the
+    [B, Tq] ``q_mask``, in row-major order; ``k`` and ``v`` are projected
+    keys and values split into heads [B, h, Tk, d / h]. ``bias`` (or None)
+    is added to the scaled scores and broadcasts to [B, h, Tq, Tk].
+    Returns the context rows [N, d] and the softmax weights.
+    """
+    qh = _heads(q, q_mask, num_heads)
+    weights = qh @ k.swapaxes(-1, -2)
+    weights *= qh.shape[-1] ** -0.5
+    if bias is not None:
+        weights += bias
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return _rows(weights @ v, q_mask), weights
+
+
+# an attention sublayer's weights, in the order ``attention`` takes them
+ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Tensor:
+    """One multi-head attention sublayer over packed rows, as one node.
+
+    ``q_in`` [Nq, d] holds the query-side inputs at the True entries of
+    the [B, Tq] ``q_mask`` and ``kv_in`` [Nk, d] the key/value-side
+    inputs at those of the [B, Tk] ``kv_mask``, both in row-major order;
+    self-attention passes the same tensor twice. ``weights`` follow
+    ``ATTENTION_WEIGHTS``. The rows are projected, the queries, keys and
+    values scattered into zeros of [B, h, T, d / h] for ``attend``, and
+    the context rows projected by ``wo``. Pad keys are zero vectors, so
+    ``bias`` must mask them. Returns [Nq, d].
+
+    The backward computes every input's gradient in one pass on the
+    first parent's call and hands each one out exactly once, keeping
+    none. Its closures hold arrays only, never a Tensor, so a tape is
+    freed as soon as its last Tensor goes.
+    """
+    qa, kva = _as_array(q_in), _as_array(kv_in)
+    q_mask, kv_mask = np.asarray(q_mask, dtype=bool), np.asarray(kv_mask, dtype=bool)
+    if len(weights) != 8:
+        raise ShapeError(f"attention needs 8 weights, got {len(weights)}")
+    wq, bq, wk, bk, wv, bv, wo, bo = (_as_array(w) for w in weights)
+    d = wq.shape[0]
+    if qa.ndim != 2 or kva.ndim != 2 or qa.shape[1] != d or kva.shape[1] != d:
+        raise ShapeError(f"attention needs [N, {d}] rows, got {qa.shape} and {kva.shape}")
+    if qa.shape[0] != q_mask.sum() or kva.shape[0] != kv_mask.sum() or q_mask.shape[0] != kv_mask.shape[0]:
+        raise ShapeError(f"rows {qa.shape[0]}/{kva.shape[0]} do not fill masks {q_mask.shape}/{kv_mask.shape}")
+    if d % num_heads != 0:
+        raise ShapeError(f"width {d} not divisible by {num_heads} heads")
+    q, k, v = qa @ wq + bq, kva @ wk + bk, kva @ wv + bv
+    ctx, probs = attend(q, q_mask, _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads), bias, num_heads)
+    out = ctx @ wo + bo
+
+    fused = q_in is kv_in
+    inputs = [("q", q_in)] if fused else [("q", q_in), ("kv", kv_in)]
+    parents = inputs + list(zip(ATTENTION_WEIGHTS, weights))
+    wanted = {name for name, p in parents if isinstance(p, Tensor) and p.tape is not None}
+
+    def all_grads(g):
+        # the closures keep the packed q/k/v rows and rebuild the zero-padded
+        # heads and the context here: less memory per step than holding them
+        qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
+        dctx = _heads(g @ wo.T, q_mask, num_heads)
+        dprobs = dctx @ vh.swapaxes(-1, -2)
+        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+        dscores *= qh.shape[-1] ** -0.5
+        rows = {
+            "o": (_rows(probs @ vh, q_mask), g),
+            "q": (qa, _rows(dscores @ kh, q_mask)),
+            "k": (kva, _rows(dscores.swapaxes(-1, -2) @ qh, kv_mask)),
+            "v": (kva, _rows(probs.swapaxes(-1, -2) @ dctx, kv_mask)),
+        }
+        grads = {}
+        for name, (x, dy) in rows.items():
+            if "w" + name in wanted:
+                grads["w" + name] = x.T @ dy
+            if "b" + name in wanted:
+                grads["b" + name] = dy.sum(axis=0)
+        dq, dk, dv = rows["q"][1], rows["k"][1], rows["v"][1]
+        if fused:
+            if "q" in wanted:
+                grads["q"] = dq @ wq.T + (dk @ wk.T + dv @ wv.T)
+        else:
+            if "q" in wanted:
+                grads["q"] = dq @ wq.T
+            if "kv" in wanted:
+                grads["kv"] = dk @ wk.T + dv @ wv.T
+        return grads
+
+    pending: dict = {}
+
+    def grad_of(name):
+        def fn(g):
+            if not pending:
+                pending.update(all_grads(g))
+            return pending.pop(name)
+
+        return fn
+
+    return _make(out, *[(p, grad_of(name)) for name, p in parents])
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:

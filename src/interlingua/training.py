@@ -206,8 +206,9 @@ def joint_loss(
     mx, my = system.modules[batch.lang_x], system.modules[batch.lang_y]
     mask_x, mask_y = pad_mask(batch.x), pad_mask(batch.y)
 
-    hx = encode(mx, batch.x, dropout_rng)
-    hy = encode(my, batch.y, dropout_rng)
+    # every position-wise op runs on the packed rows of the real positions
+    hx = encode(mx, batch.x, dropout_rng, packed=True)
+    hy = encode(my, batch.y, dropout_rng, packed=True)
     pooled_x = pool(hx, mask_x)
     pooled_y = pool(hy, mask_y)
 
@@ -222,11 +223,16 @@ def joint_loss(
     else:
         dec_x, dec_y = hx, hy
 
-    in_x, in_y = shift_targets(batch.x), shift_targets(batch.y)
-    l_xx = T.cross_entropy(decode_teacher_forced(mx, dec_x, mask_x, in_x, dropout_rng), batch.x)
-    l_yy = T.cross_entropy(decode_teacher_forced(my, dec_y, mask_y, in_y, dropout_rng), batch.y)
-    l_xy = T.cross_entropy(decode_teacher_forced(my, dec_x, mask_x, in_y, dropout_rng), batch.y)
-    l_yx = T.cross_entropy(decode_teacher_forced(mx, dec_y, mask_y, in_x, dropout_rng), batch.x)
+    # teacher forcing at the real target positions only: the eos a shifted
+    # row feeds in after its last target becomes a pad, so no logit row is
+    # computed without a target
+    in_x = np.where(mask_x, shift_targets(batch.x), PAD_ID)
+    in_y = np.where(mask_y, shift_targets(batch.y), PAD_ID)
+    out_x, out_y = batch.x[mask_x], batch.y[mask_y]
+    l_xx = T.cross_entropy(decode_teacher_forced(mx, dec_x, mask_x, in_x, dropout_rng, packed=True), out_x)
+    l_yy = T.cross_entropy(decode_teacher_forced(my, dec_y, mask_y, in_y, dropout_rng, packed=True), out_y)
+    l_xy = T.cross_entropy(decode_teacher_forced(my, dec_x, mask_x, in_y, dropout_rng, packed=True), out_y)
+    l_yx = T.cross_entropy(decode_teacher_forced(mx, dec_y, mask_y, in_x, dropout_rng, packed=True), out_x)
 
     if cfg.distance_mode == "corr":
         dist = corr_distance(pooled_x, pooled_y)
@@ -241,11 +247,11 @@ def joint_loss(
     )
 
     w = cfg.loss_weights
-    total = T.mul(l_xx, w[0])
-    total = T.add(total, T.mul(l_yy, w[1]))
-    total = T.add(total, T.mul(l_xy, w[2]))
-    total = T.add(total, T.mul(l_yx, w[3]))
-    total = T.add(total, T.mul(dist, w[4]))
+    total = _weighted(l_xx, w[0])
+    total = T.add(total, _weighted(l_yy, w[1]))
+    total = T.add(total, _weighted(l_xy, w[2]))
+    total = T.add(total, _weighted(l_yx, w[3]))
+    total = T.add(total, _weighted(dist, w[4]))
     if vq is not None:
         total = T.add(total, vq)
 
@@ -260,6 +266,11 @@ def joint_loss(
     if vq is not None:
         components["vq"] = vq.item()
     return total, components
+
+
+def _weighted(term: Tensor, weight: float) -> Tensor:
+    # a unit weight records no node: x * 1.0 == x bit for bit, as is its gradient
+    return term if weight == 1.0 else T.mul(term, weight)
 
 
 def weighted_component_sum(components: dict, cfg: TrainConfig) -> float:
@@ -327,11 +338,19 @@ def _adam_update(state, params, names, grads, cfg: TrainConfig):
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
+    missing = [n for n in names if n not in state.moments]
+    if missing:
+        # one buffer for every new moment: a single large allocation that
+        # stays out of the heap the step's small arrays come from
+        sizes = [params[n].array.size for n in missing]
+        flat = np.zeros((2, sum(sizes)))
+        ends = np.cumsum(sizes)
+        for n, hi, size in zip(missing, ends, sizes):
+            shape = params[n].array.shape
+            state.moments[n] = (flat[0, hi - size : hi].reshape(shape), flat[1, hi - size : hi].reshape(shape))
     for n in names:
         p = params[n]
         g = grads[p]
-        if n not in state.moments:
-            state.moments[n] = (np.zeros_like(p.array), np.zeros_like(p.array))
         m, v = state.moments[n]
         m *= b1
         m += (1.0 - b1) * g
@@ -484,34 +503,38 @@ def load_checkpoint(
             train_config = None if train_fields is None else TrainConfig(**train_fields)
         except (TypeError, ValueError, ConfigError) as err:
             raise CheckpointError(f"damaged header in {path}: {err}") from None
-        modules = {
-            lang: LanguageModule(lang, config, vocab_size=header_field(vocab_sizes, lang, int, path))
-            for lang in languages
-        }
-        codebook = None
-        if q is not None:
-            codebook = init_codebook(
-                header_field(q, "n_tables", int, path), header_field(q, "entries", int, path), config.d_model
-            )
-        system = System(
-            config=config, modules=modules, codebook=codebook, vocab_hashes=dict(stored_hashes)
-        )
-        params = system.named_parameters()
-        state = TrainState(step=step)
         loaded: dict[str, np.ndarray] = {}
         for name, shape in arrays:
             loaded[name] = read_array(fh, "<f8", shape, path).copy()
         expect_end(fh, path)
-        for name, t in params.items():
-            if name not in loaded:
-                raise CheckpointError(f"checkpoint missing parameter {name}")
-            if loaded[name].shape != t.array.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {name}: {loaded[name].shape} vs {t.array.shape}"
-                )
-            t.array[...] = loaded[name]
-        for name in params:
-            m_key, v_key = f"adam_m/{name}", f"adam_v/{name}"
-            if m_key in loaded:
-                state.moments[name] = (loaded[m_key], loaded[v_key])
+
+    def stored(name: str, shape) -> np.ndarray:
+        if name not in loaded:
+            raise CheckpointError(f"checkpoint missing parameter {name}")
+        if loaded[name].shape != tuple(shape):
+            raise CheckpointError(f"shape mismatch for {name}: {loaded[name].shape} vs {tuple(shape)}")
+        return loaded[name]
+
+    # modules and codebook are built from the stored arrays, with no random init
+    modules = {
+        lang: LanguageModule(
+            lang, config, vocab_size=header_field(vocab_sizes, lang, int, path),
+            arrays=lambda name, shape, lang=lang: stored(f"{lang}/{name}", shape),
+        )
+        for lang in languages
+    }
+    codebook = None
+    if q is not None:
+        n_tables, entries = header_field(q, "n_tables", int, path), header_field(q, "entries", int, path)
+        sub = config.d_model // max(n_tables, 1)
+        codebook = init_codebook(
+            n_tables, entries, config.d_model,
+            tables=[stored(f"codebook/{j}", (entries, sub)) for j in range(n_tables)],
+        )
+    system = System(config=config, modules=modules, codebook=codebook, vocab_hashes=dict(stored_hashes))
+    state = TrainState(step=step)
+    for name in system.named_parameters():
+        m_key, v_key = f"adam_m/{name}", f"adam_v/{name}"
+        if m_key in loaded:
+            state.moments[name] = (loaded[m_key], loaded[v_key])
     return system, state, train_config

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .exceptions import (
     CompatibilityError,
     ConfigError,
     ContractError,
+    DegenerateBatchError,
     LengthError,
 )
 from .seeding import derive_rng
@@ -81,15 +83,30 @@ def positional_encoding(max_len: int, d_model: int) -> Tensor:
     return Tensor(pe)
 
 
-def _glorot(rng, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def _glorot(rng, shape: tuple[int, int]) -> np.ndarray:
+    limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _zeros(rng, shape) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def _ones(rng, shape) -> np.ndarray:
+    return np.ones(shape)
 
 
 class LanguageModule:
-    """Encoder, decoder and embeddings for a single language."""
+    """Encoder, decoder and embeddings for a single language.
 
-    def __init__(self, language: str, config: ModelConfig, vocab_size: int | None = None, seed: int = 0):
+    Parameters start from a seeded random init, or, when ``arrays`` is
+    given, from ``arrays(name, shape)`` for each parameter (a checkpoint
+    load), without drawing the random init at all.
+    """
+
+    def __init__(
+        self, language: str, config: ModelConfig, vocab_size: int | None = None, seed: int = 0, arrays=None
+    ):
         if not language:
             raise ConfigError("language tag must be non-empty")
         self.language = language
@@ -97,41 +114,37 @@ class LanguageModule:
         self.vocab_size = int(vocab_size if vocab_size is not None else config.vocab_size)
         if self.vocab_size <= len(RESERVED_TOKENS):
             raise ConfigError("vocabulary too small for the reserved ids")
-        self.params: dict[str, Tensor] = {}
         self._pe = positional_encoding(config.max_len, config.d_model).array
-        self._init_params(derive_rng(seed, "module", language))
+        rng = derive_rng(seed, "module", language) if arrays is None else None
+        self.params: dict[str, Tensor] = {
+            name: Tensor(init(rng, shape) if arrays is None else arrays(name, shape))
+            for name, shape, init in self._layout()
+        }
 
-    def _init_params(self, rng):
+    def _layout(self) -> list[tuple[str, tuple, Callable]]:
+        """(name, shape, initializer) of every parameter, in init and checkpoint order."""
         cfg = self.config
         d, dff, v = cfg.d_model, cfg.d_ff, self.vocab_size
-        p = self.params
-        p["emb"] = Tensor(rng.normal(0.0, d ** -0.5, size=(v, d)))
-        for side, blocks in (("enc", cfg.num_blocks), ("dec", cfg.num_blocks)):
-            for i in range(blocks):
+        layout = [("emb", (v, d), lambda rng, shape: rng.normal(0.0, d ** -0.5, size=shape))]
+        for side in ("enc", "dec"):
+            sublayers = ("self.", "cross.") if side == "dec" else ("self.",)
+            norms = ("ln1.", "ln2.", "ln3.")[: len(sublayers) + 1]
+            for i in range(cfg.num_blocks):
                 pre = f"{side}.{i}."
-                self._init_attention(rng, pre + "self.", d)
-                if side == "dec":
-                    self._init_attention(rng, pre + "cross.", d)
-                self._init_ln(pre + "ln1.", d)
-                self._init_ln(pre + "ln2.", d)
-                if side == "dec":
-                    self._init_ln(pre + "ln3.", d)
-                p[pre + "ffn.w1"] = Tensor(_glorot(rng, d, dff))
-                p[pre + "ffn.b1"] = Tensor(np.zeros(dff))
-                p[pre + "ffn.w2"] = Tensor(_glorot(rng, dff, d))
-                p[pre + "ffn.b2"] = Tensor(np.zeros(d))
-            self._init_ln(f"{side}.final.", d)
-        p["out_proj"] = Tensor(_glorot(rng, d, v))
-
-    def _init_attention(self, rng, prefix: str, d: int):
-        for name in ("wq", "wk", "wv", "wo"):
-            self.params[prefix + name] = Tensor(_glorot(rng, d, d))
-        for name in ("bq", "bk", "bv", "bo"):
-            self.params[prefix + name] = Tensor(np.zeros(d))
-
-    def _init_ln(self, prefix: str, d: int):
-        self.params[prefix + "gain"] = Tensor(np.ones(d))
-        self.params[prefix + "bias"] = Tensor(np.zeros(d))
+                for sub in sublayers:
+                    layout += [(pre + sub + n, (d, d), _glorot) for n in ("wq", "wk", "wv", "wo")]
+                    layout += [(pre + sub + n, (d,), _zeros) for n in ("bq", "bk", "bv", "bo")]
+                for norm in norms:
+                    layout += [(pre + norm + "gain", (d,), _ones), (pre + norm + "bias", (d,), _zeros)]
+                layout += [
+                    (pre + "ffn.w1", (d, dff), _glorot),
+                    (pre + "ffn.b1", (dff,), _zeros),
+                    (pre + "ffn.w2", (dff, d), _glorot),
+                    (pre + "ffn.b2", (d,), _zeros),
+                ]
+            layout += [(f"{side}.final.gain", (d,), _ones), (f"{side}.final.bias", (d,), _zeros)]
+        layout.append(("out_proj", (d, v), _glorot))
+        return layout
 
 
 def pad_mask(tokens: np.ndarray) -> np.ndarray:
@@ -156,37 +169,25 @@ def _check_tokens(module: LanguageModule, tokens, what: str) -> np.ndarray:
     return tok
 
 
-def _project(p: dict, prefix: str, x, name: str):
-    """One of an attention layer's input projections: ``name`` is q, k or v."""
-    return T.linear(x, p[prefix + "w" + name], p[prefix + "b" + name])
+def _attention(p: dict, prefix: str, q_in, kv_in, q_mask, kv_mask, bias, num_heads: int):
+    """One attention sublayer over packed rows, recorded as a single tape node."""
+    weights = [p[prefix + name] for name in T.ATTENTION_WEIGHTS]
+    return T.attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads)
 
 
-def _attend(p: dict, prefix: str, q, k, v, bias, num_heads: int):
-    """Projected queries [B, Tq, d] over projected keys and values [B, Tk, d].
-
-    Splits heads, scales and masks the scores (``bias`` may be None),
-    then applies the softmax, the context and the output projection.
-    """
-    b, tq, d = q.shape
-    tk = k.shape[1]
-    dh = d // num_heads
-    q = T.transpose(T.reshape(q, (b, tq, num_heads, dh)), (0, 2, 1, 3))
-    k = T.transpose(T.reshape(k, (b, tk, num_heads, dh)), (0, 2, 3, 1))
-    v = T.transpose(T.reshape(v, (b, tk, num_heads, dh)), (0, 2, 1, 3))
-    scores = T.mul(T.matmul(q, k), dh ** -0.5)
-    if bias is not None:
-        scores = T.add(scores, bias)
-    weights = T.softmax(scores, axis=-1)
-    ctx = T.matmul(weights, v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
-    return T.linear(ctx, p[prefix + "wo"], p[prefix + "bo"])
+def _dense(p: dict, prefix: str, x: np.ndarray, name: str) -> np.ndarray:
+    """``x @ w + b`` of one attention projection on plain arrays: ``name`` is q, k, v or o."""
+    return x @ p[prefix + "w" + name].array + p[prefix + "b" + name].array
 
 
-def _attention(p: dict, prefix: str, q_in, kv_in, bias, num_heads: int):
-    q = _project(p, prefix, q_in, "q")
-    k = _project(p, prefix, kv_in, "k")
-    v = _project(p, prefix, kv_in, "v")
-    return _attend(p, prefix, q, k, v, bias, num_heads)
+def _cached_attention(p: dict, prefix: str, h: Tensor, k: np.ndarray, v: np.ndarray, bias, num_heads: int):
+    """A greedy step's attention sublayer, off the tape: the single query
+    position of each row of ``h`` [B, 1, d] over projected keys and values
+    [B, Tk, d], through the same forward as the tape node."""
+    q = _dense(p, prefix, h.array[:, 0], "q")
+    one = np.ones((q.shape[0], 1), dtype=bool)
+    ctx, _ = T.attend(q, one, T.split_heads(k, num_heads), T.split_heads(v, num_heads), bias, num_heads)
+    return Tensor(_dense(p, prefix, ctx, "o")[:, None])
 
 
 def _ffn(p: dict, prefix: str, x):
@@ -214,57 +215,63 @@ def _maybe_dropout(x, rate: float, rng):
     return x
 
 
-def _embed(module: LanguageModule, tok: np.ndarray, start: int = 0):
-    """Scaled token embeddings plus the positions ``start, start + 1, ...``."""
-    x = T.mul(T.embedding(module.params["emb"], tok), math.sqrt(module.config.d_model))
-    return T.add(x, module._pe[start : start + tok.shape[1]])
+def _embed(module: LanguageModule, tok: np.ndarray, mask: np.ndarray, start: int = 0):
+    """Packed rows [N, d] of the real tokens (the True entries of ``mask``):
+    scaled embeddings plus the position ``start + column`` of each."""
+    if not mask.any():
+        raise DegenerateBatchError("every position of the batch is padding")
+    cols = np.nonzero(mask)[1] + start
+    return T.embedding(module.params["emb"], tok[mask], math.sqrt(module.config.d_model), module._pe[cols])
 
 
-def encode(module: LanguageModule, tokens, dropout_rng=None) -> Tensor:
-    """Per-token states [B, T, d_model]; pad positions never influence real ones."""
+def encode(module: LanguageModule, tokens, dropout_rng=None, packed: bool = False) -> Tensor:
+    """Per-token states [B, T, d_model]; pad positions read 0 and never influence real ones.
+
+    Only the real positions are computed, as packed rows in row-major
+    order of ``pad_mask(tokens)``; with ``packed`` those rows [N, d_model]
+    are returned instead of being spread back to [B, T].
+    """
     cfg = module.config
     tok = _check_tokens(module, tokens, "source")
     p = module.params
-    bias = _key_bias(pad_mask(tok))
-    x = _maybe_dropout(_embed(module, tok), cfg.dropout, dropout_rng)
+    mask = pad_mask(tok)
+    bias = _key_bias(mask)
+    x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"enc.{i}."
         h = _ln(p, pre + "ln1.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, bias, cfg.num_heads), cfg.dropout, dropout_rng))
+        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, mask, mask, bias, cfg.num_heads), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln2.", x)
         x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
-    return _ln(p, "enc.final.", x)
+    x = _ln(p, "enc.final.", x)
+    return x if packed else T.unpack(x, mask)
 
 
-def _check_latent(module: LanguageModule, latent, src_mask) -> tuple[Tensor, np.ndarray]:
-    """The latent as a Tensor and its source mask, checked against the decoder."""
+def _check_latent(module: LanguageModule, latent, src_mask, packed: bool = False) -> tuple[Tensor, np.ndarray]:
+    """The latent as a Tensor and its source mask, checked against the decoder.
+
+    A padded latent is [B, S, d_model]; a packed one holds the rows
+    [N, d_model] of the mask's real positions.
+    """
     cfg = module.config
     la = latent if isinstance(latent, Tensor) else Tensor(latent)
-    if la.ndim != 3 or la.shape[-1] != cfg.d_model:
+    if la.ndim != (2 if packed else 3) or la.shape[-1] != cfg.d_model:
         raise CompatibilityError(
             f"latent shape {la.shape} incompatible with d_model {cfg.d_model}"
         )
     src_mask = np.asarray(src_mask, dtype=bool)
-    if src_mask.shape != la.shape[:2]:
+    covered = src_mask.ndim == 2 and (la.shape[0] == src_mask.sum() if packed else src_mask.shape == la.shape[:2])
+    if not covered:
         raise CompatibilityError(f"source mask {src_mask.shape} does not cover latent {la.shape}")
     return la, src_mask
 
 
-def _cross_kv(module: LanguageModule, la) -> list:
-    """Each decoder block's cross-attention keys and values of the latent."""
-    prefixes = [f"dec.{i}.cross." for i in range(module.config.num_blocks)]
-    return [(_project(module.params, pre, la, "k"), _project(module.params, pre, la, "v")) for pre in prefixes]
-
-
-def _decoder_logits(
-    module: LanguageModule, x, cross_kv, cross_bias, self_bias, dropout_rng=None, cache=None, step: int = 0
-):
+def _decoder_logits(module: LanguageModule, x, self_attention, cross_attention, dropout_rng=None):
     """Decoder blocks, final norm and output projection over embedded targets.
 
-    ``cross_kv[i]`` holds block i's keys and values of the latent. With a
-    ``cache`` [num_blocks, 2, B, max_steps, d_model], ``x`` is the single
-    position ``step``: its self-attention keys and values are stored at
-    ``step`` and its query attends over the cached positions 0..step.
+    ``self_attention(i, h)`` and ``cross_attention(i, h)`` run block i's
+    attention sublayers on its normed input ``h``: one tape node each over
+    packed rows in teacher forcing, the cached forward in a greedy step.
     """
     cfg = module.config
     p = module.params
@@ -272,40 +279,45 @@ def _decoder_logits(
     for i in range(cfg.num_blocks):
         pre = f"dec.{i}."
         h = _ln(p, pre + "ln1.", x)
-        q = _project(p, pre + "self.", h, "q")
-        k = _project(p, pre + "self.", h, "k")
-        v = _project(p, pre + "self.", h, "v")
-        if cache is not None:
-            cache[i, 0, :, step] = k.array[:, 0]
-            cache[i, 1, :, step] = v.array[:, 0]
-            k, v = cache[i, 0, :, : step + 1], cache[i, 1, :, : step + 1]
-        x = T.add(x, _maybe_dropout(_attend(p, pre + "self.", q, k, v, self_bias, cfg.num_heads), cfg.dropout, dropout_rng))
+        x = T.add(x, _maybe_dropout(self_attention(i, h), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln2.", x)
-        q = _project(p, pre + "cross.", h, "q")
-        k, v = cross_kv[i]
-        x = T.add(x, _maybe_dropout(_attend(p, pre + "cross.", q, k, v, cross_bias, cfg.num_heads), cfg.dropout, dropout_rng))
+        x = T.add(x, _maybe_dropout(cross_attention(i, h), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln3.", x)
         x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
     x = _ln(p, "dec.final.", x)
     return T.linear(x, p["out_proj"])
 
 
-def decode_teacher_forced(module: LanguageModule, latent, src_mask, target_in, dropout_rng=None) -> Tensor:
+def decode_teacher_forced(
+    module: LanguageModule, latent, src_mask, target_in, dropout_rng=None, packed: bool = False
+) -> Tensor:
     """Logits [B, T, V] for the shifted target given encoder states.
 
     The latent may come from any language's encoder as long as its width
-    matches d_model; the source pad mask must travel with it.
+    matches d_model; the source pad mask must travel with it. Only the
+    real positions of ``target_in`` are computed; its pad positions read
+    0. With ``packed`` the latent is given as the packed rows of
+    ``src_mask``'s real positions (``encode(..., packed=True)``) and the
+    logits come back as the rows [N, V] of ``target_in``'s real positions.
     """
-    la, src_mask = _check_latent(module, latent, src_mask)
+    la, src_mask = _check_latent(module, latent, src_mask, packed)
     tok = _check_tokens(module, target_in, "target")
-    if tok.shape[0] != la.shape[0]:
+    if tok.shape[0] != src_mask.shape[0]:
         raise CompatibilityError(
-            f"batch mismatch: latent has {la.shape[0]} rows, target has {tok.shape[0]}"
+            f"batch mismatch: latent has {src_mask.shape[0]} rows, target has {tok.shape[0]}"
         )
-    return _decoder_logits(
-        module, _embed(module, tok), _cross_kv(module, la), _key_bias(src_mask),
-        _causal_bias(tok.shape[1]), dropout_rng,
+    p, heads = module.params, module.config.num_heads
+    mask = pad_mask(tok)
+    causal, cross_bias = _causal_bias(tok.shape[1]), _key_bias(src_mask)
+    cross = la if packed else T.pack(la, src_mask)
+    logits = _decoder_logits(
+        module,
+        _embed(module, tok, mask),
+        lambda i, h: _attention(p, f"dec.{i}.self.", h, h, mask, mask, causal, heads),
+        lambda i, h: _attention(p, f"dec.{i}.cross.", h, cross, mask, src_mask, cross_bias, heads),
+        dropout_rng,
     )
+    return logits if packed else T.unpack(logits, mask)
 
 
 def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> list[list[int]]:
@@ -328,17 +340,29 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
         raise LengthError(f"max_steps {max_steps} exceeds the position table ({cfg.max_len})")
     # forward only, off any tape and without dropout
     la, src_mask = _check_latent(module, Tensor(T._as_array(latent)), src_mask)
-    batch = la.shape[0]
+    batch, p, heads = la.shape[0], module.params, cfg.num_heads
     # [num_blocks, 2, B, S, d_model] like the cache, so dropping rows is one index
-    cross = np.array([[k.array, v.array] for k, v in _cross_kv(module, la)])
+    cross = np.array(
+        [[_dense(p, f"dec.{i}.cross.", la.array, n) for n in "kv"] for i in range(cfg.num_blocks)]
+    )
     cross_bias = _key_bias(src_mask)
     cache = np.empty((cfg.num_blocks, 2, batch, max_steps, cfg.d_model))
+
+    def self_attention(i, h):
+        pre, rows = f"dec.{i}.self.", h.array[:, 0]
+        cache[i, 0, :, step] = _dense(p, pre, rows, "k")
+        cache[i, 1, :, step] = _dense(p, pre, rows, "v")
+        return _cached_attention(p, pre, h, cache[i, 0, :, : step + 1], cache[i, 1, :, : step + 1], None, heads)
+
+    def cross_attention(i, h):
+        return _cached_attention(p, f"dec.{i}.cross.", h, cross[i, 0], cross[i, 1], cross_bias, heads)
+
     rows = np.arange(batch)  # original index of each working row
     tok = np.full((batch, 1), BOS_ID, dtype=np.int64)
     outs: list[list[int]] = [[] for _ in range(batch)]
     for step in range(max_steps):
-        x = _embed(module, tok, step)
-        logits = _decoder_logits(module, x, cross, cross_bias, None, cache=cache, step=step).array[:, 0]
+        x = T.reshape(_embed(module, tok, np.ones(tok.shape, dtype=bool), step), (rows.size, 1, cfg.d_model))
+        logits = _decoder_logits(module, x, self_attention, cross_attention).array[:, 0]
         logits[:, PAD_ID] = -np.inf
         logits[:, BOS_ID] = -np.inf
         nxt = logits.argmax(axis=-1)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: central differences for gradients,
 exhaustive search for nearest neighbors, a direct transcription of corpus
-BLEU. Slow and obvious beats fast and clever for reference code.
+BLEU, and a transformer that computes every padded position through
+primitive ops. Slow and obvious beats fast and clever for reference code.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def reference_bleu(hypotheses, references) -> float:
 
 
 def reference_greedy_decode(module, latent, src_mask, max_steps: int) -> list[list[int]]:
-    """Greedy decoding that re-runs the teacher-forced decoder on the whole
-    prefix at every step: quadratic in output length, but with no cache to
-    get wrong. Finished rows stay in the batch and emit nothing more.
+    """Greedy decoding that re-runs the padded teacher-forced decoder on
+    the whole prefix at every step: quadratic in output length, but with no
+    cache and no packing to get wrong. Finished rows stay in the batch and
+    emit nothing more.
     """
     from interlingua import transformer as M
 
@@ -101,7 +103,7 @@ def reference_greedy_decode(module, latent, src_mask, max_steps: int) -> list[li
     alive = np.ones(batch, dtype=bool)
     outs: list[list[int]] = [[] for _ in range(batch)]
     for _ in range(max_steps):
-        last = M.decode_teacher_forced(module, la, src_mask, cur).array[:, -1, :].copy()
+        last = padded_decode_teacher_forced(module, la, src_mask, cur).array[:, -1, :].copy()
         last[:, M.PAD_ID] = -np.inf
         last[:, M.BOS_ID] = -np.inf
         nxt = last.argmax(axis=-1)
@@ -115,3 +117,130 @@ def reference_greedy_decode(module, latent, src_mask, max_steps: int) -> list[li
             break
         cur = np.concatenate([cur, nxt[:, None]], axis=1)
     return outs
+
+
+# ---------------------------------------------------------------------------
+# the padded transformer: every position of a [B, T] batch computed, each
+# attention sublayer composed from primitive tape ops
+# ---------------------------------------------------------------------------
+
+
+def padded_attention(p, prefix, q_in, kv_in, bias, num_heads):
+    """Queries of [B, Tq, d] over keys and values of [B, Tk, d]: projections,
+    head split, scaled and biased scores, softmax, context, head merge and
+    output projection, one primitive op each."""
+    from interlingua import tensor as T
+
+    q = T.linear(q_in, p[prefix + "wq"], p[prefix + "bq"])
+    k = T.linear(kv_in, p[prefix + "wk"], p[prefix + "bk"])
+    v = T.linear(kv_in, p[prefix + "wv"], p[prefix + "bv"])
+    b, tq, d = q.shape
+    tk = k.shape[1]
+    dh = d // num_heads
+    q = T.transpose(T.reshape(q, (b, tq, num_heads, dh)), (0, 2, 1, 3))
+    k = T.transpose(T.reshape(k, (b, tk, num_heads, dh)), (0, 2, 3, 1))
+    v = T.transpose(T.reshape(v, (b, tk, num_heads, dh)), (0, 2, 1, 3))
+    scores = T.mul(T.matmul(q, k), dh ** -0.5)
+    if bias is not None:
+        scores = T.add(scores, bias)
+    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, tq, d))
+    return T.linear(ctx, p[prefix + "wo"], p[prefix + "bo"])
+
+
+def _padded_block_input(module, tokens):
+    from interlingua import tensor as T
+
+    tok = np.asarray(tokens)
+    x = T.mul(T.embedding(module.params["emb"], tok), math.sqrt(module.config.d_model))
+    return T.add(x, module._pe[: tok.shape[1]])
+
+
+def _padded_ffn(p, prefix, x):
+    from interlingua import tensor as T
+
+    h = T.relu(T.linear(x, p[prefix + "w1"], p[prefix + "b1"]))
+    return T.linear(h, p[prefix + "w2"], p[prefix + "b2"])
+
+
+def _padded_ln(p, prefix, x):
+    from interlingua import tensor as T
+    from interlingua.transformer import LN_EPS
+
+    return T.layer_norm(x, p[prefix + "gain"], p[prefix + "bias"], eps=LN_EPS)
+
+
+def _key_bias(mask):
+    from interlingua.transformer import MASK_BIAS
+
+    return np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
+
+
+def padded_encode(module, tokens):
+    """Encoder states [B, T, d] with every pad position computed too."""
+    from interlingua import tensor as T
+    from interlingua.transformer import pad_mask
+
+    p, cfg = module.params, module.config
+    bias = _key_bias(pad_mask(tokens))
+    x = _padded_block_input(module, tokens)
+    for i in range(cfg.num_blocks):
+        pre = f"enc.{i}."
+        h = _padded_ln(p, pre + "ln1.", x)
+        x = T.add(x, padded_attention(p, pre + "self.", h, h, bias, cfg.num_heads))
+        x = T.add(x, _padded_ffn(p, pre + "ffn.", _padded_ln(p, pre + "ln2.", x)))
+    return _padded_ln(p, "enc.final.", x)
+
+
+def padded_decode_teacher_forced(module, latent, src_mask, target_in):
+    """Logits [B, T, V] with every pad position computed too."""
+    from interlingua import tensor as T
+    from interlingua.transformer import MASK_BIAS
+
+    p, cfg = module.params, module.config
+    la = latent if isinstance(latent, T.Tensor) else T.Tensor(latent)
+    width = np.asarray(target_in).shape[1]
+    causal = np.triu(np.full((width, width), MASK_BIAS), k=1)[None, None]
+    cross_bias = _key_bias(src_mask)
+    x = _padded_block_input(module, target_in)
+    for i in range(cfg.num_blocks):
+        pre = f"dec.{i}."
+        h = _padded_ln(p, pre + "ln1.", x)
+        x = T.add(x, padded_attention(p, pre + "self.", h, h, causal, cfg.num_heads))
+        h = _padded_ln(p, pre + "ln2.", x)
+        x = T.add(x, padded_attention(p, pre + "cross.", h, la, cross_bias, cfg.num_heads))
+        x = T.add(x, _padded_ffn(p, pre + "ffn.", _padded_ln(p, pre + "ln3.", x)))
+    return T.linear(_padded_ln(p, "dec.final.", x), p["out_proj"])
+
+
+def padded_joint_loss(batch, system, cfg):
+    """The five-term objective of ``training.joint_loss`` over padded batches:
+    masked mean pooling, padded decoders, every loss weight applied as a
+    multiplication. No quantizer and no dropout."""
+    from interlingua import tensor as T
+    from interlingua.latent import corr_distance, max_distance
+    from interlingua.training import shift_targets
+    from interlingua.transformer import pad_mask
+
+    assert not cfg.quantize, "the padded oracle has no quantizer"
+    mx, my = system.modules[batch.lang_x], system.modules[batch.lang_y]
+    mask_x, mask_y = pad_mask(batch.x), pad_mask(batch.y)
+    hx, hy = padded_encode(mx, batch.x), padded_encode(my, batch.y)
+
+    def pool(raw, mask):
+        weighted = T.mul(raw, mask[:, :, None].astype(np.float64))
+        return T.mul(T.reduce_sum(weighted, axis=1), (1.0 / mask.sum(axis=1))[:, None])
+
+    in_x, in_y = shift_targets(batch.x), shift_targets(batch.y)
+    terms = [
+        T.cross_entropy(padded_decode_teacher_forced(mx, hx, mask_x, in_x), batch.x),
+        T.cross_entropy(padded_decode_teacher_forced(my, hy, mask_y, in_y), batch.y),
+        T.cross_entropy(padded_decode_teacher_forced(my, hx, mask_x, in_y), batch.y),
+        T.cross_entropy(padded_decode_teacher_forced(mx, hy, mask_y, in_x), batch.x),
+    ]
+    distance = {"corr": corr_distance, "max": max_distance}[cfg.distance_mode]
+    terms.append(distance(pool(hx, mask_x), pool(hy, mask_y)))
+    total = T.mul(terms[0], cfg.loss_weights[0])
+    for term, weight in zip(terms[1:], cfg.loss_weights[1:]):
+        total = T.add(total, T.mul(term, weight))
+    return total

@@ -148,6 +148,7 @@ VALUE_OPS = {
     "matmul", "linear", "transpose", "reshape", "concat",
     "reduce_sum", "reduce_mean", "reduce_max",
     "softmax", "layer_norm", "cross_entropy", "embedding", "dropout",
+    "pack", "unpack", "segment_mean", "attention",
 }
 
 
@@ -186,9 +187,34 @@ def _op_cases(seed):
     lx, lw, lb = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
     wl2, wl3 = rng.normal(size=(3, 5)), rng.normal(size=(2, 3, 5))
     lxt = rng.normal(size=(4, 3, 2))
+    pmask = np.array([[True, True, False], [True, False, False]])
+    px, wpx = rng.normal(size=(2, 3, 2)), rng.normal(size=(3, 2))
+    prows, wprows = rng.normal(size=(3, 2)), rng.normal(size=(2, 3, 2))
+    seg, wseg = rng.normal(size=(5, 3)), rng.normal(size=(2, 3))
+    # attention: query mask, key/value mask (None: self-attention), bias
+    qm, km = np.array([[1, 1, 0], [1, 1, 1]], bool), np.array([[1, 1, 1, 0], [1, 0, 0, 0]], bool)
+    key_bias = lambda m: np.where(m, 0.0, -1e9)[:, None, None, :]  # noqa: E731
+    causal = np.triu(np.full((3, 3), -1e9), k=1)[None, None]
+    att = {
+        "self, key-pad bias": (qm, None, key_bias(qm)),
+        "self, causal bias": (qm, None, causal),
+        "cross, key-pad bias": (qm, km, key_bias(km)),
+        "cross, no padding": (np.ones((2, 2), bool), np.ones((2, 3), bool), None),
+    }
 
     def s(t, wgt):
         return T.reduce_sum(T.mul(t, wgt))
+
+    def attention_case(q_mask, kv_mask, bias):
+        q = rng.normal(size=(int(q_mask.sum()), 4))
+        weights = [rng.normal(size=(4, 4) if i % 2 == 0 else (4,)) for i in range(8)]
+        wgt = rng.normal(size=q.shape)
+        if kv_mask is None:
+            return [q] + weights, lambda tq, *tw: s(T.attention(tq, tq, q_mask, q_mask, bias, tw, 2), wgt)
+        kv = rng.normal(size=(int(kv_mask.sum()), 4))
+        return [q, kv] + weights, lambda tq, tkv, *tw: s(T.attention(tq, tkv, q_mask, kv_mask, bias, tw, 2), wgt)
+
+    attention_cases = [("attention", *attention_case(*spec)) for spec in att.values()]
 
     return [
         ("add", [a, b], lambda ta, tb: s(T.add(ta, tb), w)),
@@ -216,7 +242,11 @@ def _op_cases(seed):
         ("cross_entropy", [logits], lambda tl: T.cross_entropy(tl, targets)),
         ("embedding", [table], lambda tt: s(T.embedding(tt, ids), wemb)),
         ("dropout", [dx], lambda tx: s(T.dropout(tx, 0.35, np.random.default_rng(seed)), wdx)),
-    ]
+        ("pack", [px], lambda tv: s(T.pack(tv, pmask), wpx)),
+        ("unpack", [prows], lambda tv: s(T.unpack(tv, pmask), wprows)),
+        ("segment_mean", [seg], lambda tv: s(T.segment_mean(tv, np.array([3, 2])), wseg)),
+        ("embedding", [table], lambda tt: s(T.embedding(tt, ids, 1.5, wemb), wemb)),
+    ] + attention_cases
 
 
 def _entry_fd(f, arr, idx, step=1e-5):

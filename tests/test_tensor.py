@@ -12,7 +12,25 @@ from interlingua.exceptions import (
     ShapeError,
     TapeError,
 )
-from oracles import assert_grad_close, finite_difference
+from oracles import assert_grad_close, finite_difference, padded_attention
+
+NAMES = T.ATTENTION_WEIGHTS
+
+
+def attention_case(rng, q_mask, kv_mask, d=4):
+    """Packed query and key/value rows for the masks, plus 8 weights."""
+    q_rows = rng.normal(size=(int(q_mask.sum()), d))
+    kv_rows = rng.normal(size=(int(kv_mask.sum()), d))
+    weights = [rng.normal(size=(d, d)) if n.startswith("w") else rng.normal(size=(d,)) for n in NAMES]
+    return q_rows, kv_rows, weights
+
+
+def key_bias(mask):
+    return np.where(mask, 0.0, -1e9)[:, None, None, :]
+
+
+def causal_bias(t):
+    return np.triu(np.full((t, t), -1e9), k=1)[None, None]
 
 
 def check_against_fd(build, arrays):
@@ -306,6 +324,9 @@ class TestGradientsContract:
         mat, vec = rng.normal(size=(4, 2)), rng.normal(size=(2,))
         gain, bias = rng.normal(size=(4,)), rng.normal(size=(4,))
         targets = np.array([1, 2, 3])
+        mask_q, mask_kv = np.array([[1, 1, 0], [1, 0, 0]], bool), np.array([[1, 1], [1, 0]], bool)
+        att_x, att_kv, att_w = attention_case(rng, mask_q, mask_kv)
+        att_q = (att_x, att_kv)
         ops = [
             (lambda x, y: T.add(x, y), [a, b]),
             (lambda x, y: T.sub(x, y), [a, b]),
@@ -329,6 +350,11 @@ class TestGradientsContract:
             (lambda x: T.embedding(x, np.array([[0, 2], [2, 1]])), [a]),
             (lambda x: T.dropout(x, 0.5, np.random.default_rng(0)), [a]),
             (lambda x: T.straight_through(x, b), [a]),
+            (lambda x: T.pack(x, a > 0), [a[:, :, None]]),
+            (lambda x: T.unpack(x, a > 0), [rng.normal(size=(int((a > 0).sum()), 2))]),
+            (lambda x: T.segment_mean(x, np.array([1, 2])), [a[:3]]),
+            (lambda x, kv, *w: T.attention(x, kv, mask_q, mask_kv, None, w, 2), list(att_q) + list(att_w)),
+            (lambda x, *w: T.attention(x, x, mask_q, mask_q, causal_bias(3), w, 2), [att_q[0]] + list(att_w)),
         ]
         for build, arrays in ops:
             tape = T.GradTape()
@@ -546,6 +572,129 @@ class TestGradientsAgainstFiniteDifferences:
                 for got, want in zip(*results):
                     assert got.shape == want.shape
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_pack_unpack_segment_mean(self):
+        rng = np.random.default_rng(3)
+        mask = np.array([[True, True, False], [True, False, False], [True, True, True]])
+        x, w = rng.normal(size=(3, 3, 2)), rng.normal(size=(6, 2))
+        check_against_fd(lambda t: T.reduce_sum(T.pack(t, mask) * w), [x])
+        rows, w3 = rng.normal(size=(6, 2)), rng.normal(size=(3, 3, 2))
+        check_against_fd(lambda t: T.reduce_sum(T.unpack(t, mask) * w3), [rows])
+        assert np.array_equal(T.pack(T.unpack(rows, mask), mask).array, rows)
+        assert not T.unpack(rows, mask).array[~mask].any()
+        w_mean = rng.normal(size=(3, 2))
+        check_against_fd(lambda t: T.reduce_sum(T.segment_mean(t, np.array([2, 1, 3])) * w_mean), [rows])
+        np.testing.assert_allclose(
+            T.segment_mean(rows, np.array([2, 1, 3])).array,
+            [rows[:2].mean(axis=0), rows[2], rows[3:].mean(axis=0)], rtol=1e-15,
+        )
+        with pytest.raises(ShapeError):
+            T.pack(x, mask[:2])
+        with pytest.raises(ShapeError):
+            T.unpack(rows[:5], mask)
+        with pytest.raises(ShapeError):
+            T.segment_mean(rows, np.array([2, 1, 2]))
+
+    def test_embedding_scale_and_shift(self):
+        rng = np.random.default_rng(4)
+        table, ids = rng.normal(size=(5, 3)), np.array([4, 0, 4, 2])
+        shift, w = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        out = T.embedding(table, ids, 2.5, shift).array
+        assert np.array_equal(out, table[ids] * 2.5 + shift)
+        check_against_fd(lambda t: T.reduce_sum(T.embedding(t, ids, 2.5, shift) * w), [table])
+
+
+# (query mask, key/value mask, bias kind) per case: self-attention passes the
+# query rows as the key/value rows too
+ATTENTION_CASES = {
+    "self, key-pad bias": (np.array([[1, 1, 0], [1, 1, 1]], bool), None, "key"),
+    "self, causal bias": (np.array([[1, 1, 1], [1, 1, 0]], bool), None, "causal"),
+    "cross, key-pad bias": (np.array([[1, 0], [1, 1]], bool), np.array([[1, 1, 1, 0], [1, 0, 0, 0]], bool), "key"),
+    "cross, no padding": (np.ones((2, 3), bool), np.ones((2, 2), bool), None),
+}
+
+
+def attention_build(case, num_heads=2):
+    q_mask, kv_mask, kind = ATTENTION_CASES[case]
+    fused = kv_mask is None
+    kv_mask = q_mask if fused else kv_mask
+    bias = {"key": key_bias(kv_mask), "causal": causal_bias(q_mask.shape[1]), None: None}[kind]
+
+    def build(q, kv, *weights):
+        return T.attention(q, q if fused else kv, q_mask, kv_mask, bias, weights, num_heads)
+
+    return build, q_mask, kv_mask, bias, fused
+
+
+class TestAttentionNode:
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_gradients_match_finite_differences(self, case):
+        build, q_mask, kv_mask, _, fused = attention_build(case)
+        rng = np.random.default_rng(len(case))
+        q, kv, weights = attention_case(rng, q_mask, kv_mask)
+        wgt = rng.normal(size=q.shape)
+        if fused:
+            check_against_fd(lambda tq, *tw: T.reduce_sum(build(tq, None, *tw) * wgt), [q] + weights)
+        else:
+            check_against_fd(lambda tq, tkv, *tw: T.reduce_sum(build(tq, tkv, *tw) * wgt), [q, kv] + weights)
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_matches_padded_composition(self, case):
+        build, q_mask, kv_mask, bias, fused = attention_build(case)
+        rng = np.random.default_rng(7)
+        q, kv, weights = attention_case(rng, q_mask, kv_mask, d=8)
+        kv = q if fused else kv
+        wgt = rng.normal(size=q.shape)
+        results = []
+        for packed in (True, False):
+            tape = T.GradTape()
+            tq, tkv = tape.watch(T.Tensor(q)), tape.watch(T.Tensor(kv))
+            tw = [tape.watch(T.Tensor(w)) for w in weights]
+            if packed:
+                out = build(tq, tkv, *tw)
+            else:
+                p = dict(zip(["self." + n for n in NAMES], tw))
+                q_in = T.unpack(tq, q_mask)
+                kv_in = q_in if fused else T.unpack(tkv, kv_mask)
+                out = T.pack(padded_attention(p, "self.", q_in, kv_in, bias, 2), q_mask)
+            grads = T.backward(T.reduce_sum(T.mul(out, wgt)))
+            results.append([out.array] + [grads[t] for t in [tq, tkv] + tw])
+            tape.release()
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_frozen_parents_get_no_work_and_sweeps_keep_nothing(self):
+        # a second sweep over the same tape, from another loss, must see
+        # fresh gradients: nothing of the first sweep may stay in the node
+        build, q_mask, kv_mask, _, _ = attention_build("cross, key-pad bias")
+        rng = np.random.default_rng(8)
+        q, kv, weights = attention_case(rng, q_mask, kv_mask)
+        wgt = rng.normal(size=q.shape)
+        results = []
+        for losses in (("square", "weighted"), ("weighted",)):
+            tape = T.GradTape()
+            tq = tape.watch(T.Tensor(q))
+            tw = [tape.watch(T.Tensor(w)) if n in ("wq", "bo") else w for n, w in zip(NAMES, weights)]
+            out = build(tq, kv, *tw)
+            assert len(tape._parents[out.node]) == 3  # the query rows, wq and bo
+            for kind in losses:
+                loss = T.reduce_sum(T.mul(out, out if kind == "square" else wgt))
+                grads = T.backward(loss)
+            results.append([np.array(grads[t]) for t in (tq, tw[0], tw[7])])
+            tape.release()
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+
+    def test_shape_checks(self):
+        rng = np.random.default_rng(9)
+        mask = np.array([[1, 1], [1, 0]], bool)
+        q, kv, weights = attention_case(rng, mask, mask)
+        with pytest.raises(ShapeError):
+            T.attention(q[:2], kv, mask, mask, None, weights, 2)
+        with pytest.raises(ShapeError):
+            T.attention(q, kv, mask, mask, None, weights[:7], 2)
+        with pytest.raises(ShapeError):
+            T.attention(q, kv, mask, mask, None, weights, 3)
 
     def test_linear_shape_checks(self):
         with pytest.raises(ShapeError):

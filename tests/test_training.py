@@ -7,6 +7,8 @@ exactly the same bytes as the uninterrupted run.
 
 import copy
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from conftest import fast_train_config, prepare_toy, small_model_config, small_s
 from interlingua import data as D
 from interlingua import tensor as T
 from interlingua import toy
+from interlingua import training as TR
 from interlingua.exceptions import (
     CheckpointError,
     CompatibilityError,
@@ -37,6 +40,32 @@ from interlingua.training import (
     weighted_component_sum,
 )
 from interlingua.transformer import BOS_ID, EOS_ID, PAD_ID, LanguageModule, ModelConfig
+from oracles import padded_joint_loss
+
+# the README toy config and the wide benchmark's medium config
+TOY = (
+    ModelConfig(num_blocks=2, num_heads=2, d_model=32, max_len=16),
+    dict(batch_size=16, distance_mode="corr"),
+)
+WIDE = (
+    ModelConfig(num_blocks=4, num_heads=4, d_model=128, max_len=50),
+    dict(batch_size=32, distance_mode="max", quantize=True),
+)
+
+
+def loss_and_grads(loss_fn, system, batch, cfg):
+    """The loss, its breakdown (if any) and every parameter's gradient."""
+    params = system.named_parameters()
+    tape = T.GradTape()
+    try:
+        for t in params.values():
+            tape.watch(t)
+        out = loss_fn(batch, system, cfg)
+        loss, components = out if isinstance(out, tuple) else (out, {})
+        grads = T.backward(loss)
+        return loss.item(), components, {name: np.array(grads[t]) for name, t in params.items()}
+    finally:
+        tape.release()
 
 
 def snapshot(system, prefix=None):
@@ -191,6 +220,95 @@ class TestJointLoss:
             joint_loss(batch, system, fast_train_config())
 
 
+class TestPackedObjective:
+    """joint_loss computes real positions only; the padded composition of
+    tests/oracles.py computes them all."""
+
+    @pytest.mark.parametrize("config", ["toy", "wide"])
+    @pytest.mark.parametrize("mode", ["corr", "max"])
+    def test_matches_padded_composition(self, toy_corpus, config, mode):
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = {"toy": TOY, "wide": WIDE}[config]
+        cfg = fast_train_config(**dict(train_kw, distance_mode=mode, quantize=False))
+        system = build_system(model, {lang: len(v) for lang, v in vocabs.items()}, seed=3)
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, 0)
+        assert not (batch.x != PAD_ID).all()  # the batch has padding to skip
+        loss, components, grads = loss_and_grads(joint_loss, system, batch, cfg)
+        want, _, want_grads = loss_and_grads(padded_joint_loss, system, batch, cfg)
+        assert abs(loss - want) < 1e-10
+        for name, ref in want_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_dvq_ignores_an_all_pad_column(self, toy_corpus):
+        # the quantizer sees real positions only, so widening the batch by
+        # one column of padding changes neither the loss nor any gradient
+        corpus, vocabs, _, _ = toy_corpus
+        system = build_system(
+            small_model_config(), {lang: len(v) for lang, v in vocabs.items()},
+            seed=2, quantize_latent=True, vq_tables=2, vq_entries=8,
+        )
+        cfg = fast_train_config(quantize=True, vq_tables=2, vq_entries=8)
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, 0)
+        column = np.full((batch.x.shape[0], 1), PAD_ID)
+        wider = dataclasses.replace(
+            batch, x=np.concatenate([batch.x, column], axis=1), y=np.concatenate([batch.y, column], axis=1)
+        )
+        _, components, grads = loss_and_grads(joint_loss, system, batch, cfg)
+        _, wide_components, wide_grads = loss_and_grads(joint_loss, system, wider, cfg)
+        assert components.keys() == wide_components.keys()
+        for key, value in components.items():
+            assert abs(wide_components[key] - value) <= 1e-12, key
+        for name, ref in grads.items():
+            np.testing.assert_allclose(wide_grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("config, budget", [("toy", 195), ("wide", 300)])
+    def test_op_nodes_per_step(self, toy_corpus, config, budget):
+        # tape length minus the watched leaves; deterministic for a config
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = {"toy": TOY, "wide": WIDE}[config]
+        cfg = fast_train_config(**train_kw)
+        system = build_system(
+            model, {lang: len(v) for lang, v in vocabs.items()}, seed=0, quantize_latent=cfg.quantize
+        )
+        params = system.named_parameters()
+        tape = T.GradTape()
+        try:
+            for t in params.values():
+                tape.watch(t)
+            joint_loss(sample_batch(corpus, cfg.batch_size, cfg.seed, 0), system, cfg)
+            nodes = len(tape) - len(params)
+        finally:
+            tape.release()
+        assert nodes <= budget, f"{nodes} op nodes per {config} step, budget {budget}"
+
+    def test_step_tape_dies_with_the_step(self, toy_corpus, monkeypatch):
+        # with the cyclic collector off, a grad closure that kept a Tensor
+        # (tape -> closure -> Tensor -> tape) would keep the tape alive
+        corpus, vocabs, _, _ = toy_corpus
+        tapes = []
+
+        class RecordedTape(T.GradTape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(TR, "GradTape", RecordedTape)
+        system = build_system(
+            small_model_config(), {lang: len(v) for lang, v in vocabs.items()},
+            seed=0, quantize_latent=True, vq_tables=2, vq_entries=8,
+        )
+        cfg = fast_train_config(quantize=True, vq_tables=2, vq_entries=8, distance_mode="max")
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, 0)
+        gc.collect()
+        gc.disable()
+        try:
+            train_step(TrainState(), system, batch, cfg)
+            assert len(tapes) == 1
+            assert tapes[0]() is None, "the step's tape outlived train_step"
+        finally:
+            gc.enable()
+
+
 class TestTrainStep:
     def test_loss_decreases_on_repeated_batch(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
@@ -268,6 +386,18 @@ class TestTrainStep:
             for got, ref in ((fast_grads[name], slow_grads[name]), (fast[name], want)):
                 err = np.abs(got - ref).max() / np.abs(ref).max()
                 assert err < 1e-9, f"{name}: relative difference {err:.2e}"
+
+    def test_adam_moments_share_one_buffer(self, toy_corpus):
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        cfg = fast_train_config()
+        state = TrainState()
+        train_step(state, system, sample_batch(corpus, cfg.batch_size, cfg.seed, 0), cfg)
+        arrays = [a for pair in state.moments.values() for a in pair]
+        assert all(a.base is not None for a in arrays)
+        assert len({id(a.base) for a in arrays}) == 1
+        for name, (m, v) in state.moments.items():
+            assert m.shape == v.shape == system.named_parameters()[name].shape
 
     def test_unknown_trainable_name_rejected(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
@@ -391,6 +521,25 @@ class TestCheckpoint:
             loads += 1
             assert loaded.parameter_hash() == system.parameter_hash()
         assert loads == 1  # only the undamaged file loads
+
+    def test_load_builds_from_stored_arrays_without_random_init(self, toy_corpus, tmp_path, monkeypatch):
+        corpus, vocabs, _, _ = toy_corpus
+        system = build_system(
+            small_model_config(), {lang: len(v) for lang, v in vocabs.items()},
+            seed=1, quantize_latent=True, vq_tables=2, vq_entries=8,
+        )
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(system, TrainState(), first)
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew a random init")
+
+        monkeypatch.setattr("interlingua.transformer.derive_rng", no_draws)
+        monkeypatch.setattr("interlingua.latent.derive_rng", no_draws)
+        loaded, state, _ = load_checkpoint(first)
+        assert loaded.parameter_hash() == system.parameter_hash()
+        save_checkpoint(loaded, state, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_quantizer_survives_round_trip(self, toy_corpus, tmp_path):
         corpus, vocabs, _, _ = toy_corpus

@@ -9,9 +9,16 @@ from interlingua.exceptions import (
     CompatibilityError,
     ConfigError,
     ContractError,
+    DegenerateBatchError,
     LengthError,
 )
-from oracles import assert_grad_close, finite_difference, reference_greedy_decode
+from oracles import (
+    assert_grad_close,
+    finite_difference,
+    padded_decode_teacher_forced,
+    padded_encode,
+    reference_greedy_decode,
+)
 
 
 def tiny_config(**kw):
@@ -123,6 +130,13 @@ class TestEncode:
         m = M.LanguageModule("x", tiny_config(), seed=0)
         with pytest.raises(ContractError):
             M.encode(m, np.array([[4.0, 5.0]]))
+
+    def test_all_pad_batch_rejected_but_all_pad_row_reads_zero(self):
+        m = M.LanguageModule("x", tiny_config(), seed=0)
+        with pytest.raises(DegenerateBatchError):
+            M.encode(m, np.zeros((2, 3), dtype=np.int64))
+        out = M.encode(m, np.array([[4, M.EOS_ID, 0], [0, 0, 0]])).array
+        assert out[0, :2].any() and not out[0, 2:].any() and not out[1].any()
 
     def test_deterministic(self):
         m = M.LanguageModule("x", tiny_config(), seed=4)
@@ -311,6 +325,65 @@ class TestCachedDecodeAgainstOracle:
             M.greedy_decode(my, latent.array[0], mask, max_steps=5)
         with pytest.raises(CompatibilityError):
             M.greedy_decode(my, latent, mask[:, :2], max_steps=5)
+
+
+# the README toy widths and the medium widths of the wide benchmark
+ORACLE_CONFIGS = {
+    "toy": dict(num_blocks=2, num_heads=2, d_model=32, vocab_size=24, max_len=16),
+    "wide": dict(num_blocks=4, num_heads=4, d_model=128, vocab_size=24, max_len=50),
+}
+
+
+def mixed_batch(rng, batch, width, vocab):
+    """Rows of 1..width real tokens ending in eos, at least one of full width."""
+    lengths = rng.integers(1, width + 1, size=batch)
+    lengths[0] = width
+    out = np.zeros((batch, width), dtype=np.int64)
+    for b, n in enumerate(lengths):
+        out[b, : n - 1] = rng.integers(4, vocab, size=n - 1)
+        out[b, n - 1] = M.EOS_ID
+    return out
+
+
+class TestPackedAgainstPaddedOracle:
+    """Only real positions are computed; the padded composition of
+    tests/oracles.py computes them all. Real positions must agree, and pad
+    positions of the packed path's outputs read 0."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_encode_and_decode_match_padded_composition(self, name):
+        cfg = M.ModelConfig(**ORACLE_CONFIGS[name])
+        mx, my = M.LanguageModule("x", cfg, seed=1), M.LanguageModule("y", cfg, seed=2)
+        rng = np.random.default_rng(3)
+        src, tgt = mixed_batch(rng, 12, 9, cfg.vocab_size), mixed_batch(rng, 12, 7, cfg.vocab_size)
+        src_mask = M.pad_mask(src)
+        tgt_in = np.where(M.pad_mask(tgt), np.concatenate([np.full((12, 1), M.BOS_ID), tgt[:, :-1]], axis=1), 0)
+
+        states = M.encode(mx, src).array
+        want = padded_encode(mx, src).array
+        np.testing.assert_allclose(states[src_mask], want[src_mask], rtol=0, atol=1e-10)
+        assert not states[~src_mask].any()
+
+        logits = M.decode_teacher_forced(my, states, src_mask, tgt_in).array
+        want = padded_decode_teacher_forced(my, want, src_mask, tgt_in).array
+        tgt_mask = M.pad_mask(tgt_in)
+        np.testing.assert_allclose(logits[tgt_mask], want[tgt_mask], rtol=0, atol=1e-10)
+        assert not logits[~tgt_mask].any()
+
+    def test_packed_outputs_are_the_real_rows(self):
+        cfg = M.ModelConfig(**ORACLE_CONFIGS["toy"])
+        mx = M.LanguageModule("x", cfg, seed=4)
+        rng = np.random.default_rng(5)
+        src, tgt_in = mixed_batch(rng, 6, 8, cfg.vocab_size), mixed_batch(rng, 6, 5, cfg.vocab_size)
+        tgt_in[:, 0] = M.BOS_ID
+        src_mask = M.pad_mask(src)
+        rows = M.encode(mx, src, packed=True)
+        assert np.array_equal(rows.array, M.encode(mx, src).array[src_mask])
+        logits = M.decode_teacher_forced(mx, rows, src_mask, tgt_in, packed=True).array
+        padded = M.decode_teacher_forced(mx, M.encode(mx, src), src_mask, tgt_in).array
+        assert np.array_equal(logits, padded[M.pad_mask(tgt_in)])
+        with pytest.raises(CompatibilityError):
+            M.decode_teacher_forced(mx, rows.array[1:], src_mask, tgt_in, packed=True)
 
 
 class TestCompositeGradients:
