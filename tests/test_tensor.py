@@ -603,6 +603,14 @@ class TestGradientsAgainstFiniteDifferences:
         assert np.array_equal(out, table[ids] * 2.5 + shift)
         check_against_fd(lambda t: T.reduce_sum(T.embedding(t, ids, 2.5, shift) * w), [table])
 
+    def test_linear_shape_checks(self):
+        with pytest.raises(ShapeError):
+            T.linear(np.ones((2, 3)), np.ones((4, 5)))
+        with pytest.raises(ShapeError):
+            T.linear(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(ShapeError):
+            T.linear(np.ones((2, 3)), np.ones((3, 5)), np.ones(4))
+
 
 # (query mask, key/value mask, bias kind) per case: self-attention passes the
 # query rows as the key/value rows too
@@ -695,11 +703,3 @@ class TestAttentionNode:
             T.attention(q, kv, mask, mask, None, weights[:7], 2)
         with pytest.raises(ShapeError):
             T.attention(q, kv, mask, mask, None, weights, 3)
-
-    def test_linear_shape_checks(self):
-        with pytest.raises(ShapeError):
-            T.linear(np.ones((2, 3)), np.ones((4, 5)))
-        with pytest.raises(ShapeError):
-            T.linear(np.ones((2, 3)), np.ones(3))
-        with pytest.raises(ShapeError):
-            T.linear(np.ones((2, 3)), np.ones((3, 5)), np.ones(4))
