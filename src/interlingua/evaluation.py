@@ -1,11 +1,11 @@
 """Corpus BLEU and the encoder-interchange evaluation.
 
 The interchange check asks how language-neutral the shared latent space
-is: one decoder greedy-decodes twice, once from its own language's
-encoding and once from the partner language's encoding of the parallel
-text. Both outputs are scored against the reference, and against each
-other, so the gap between the two runs measures how far apart the two
-encodings really are.
+is: one decoder greedy-decodes the parallel text from its own language's
+encoding and from the partner language's, in one pass over both
+encodings stacked on the batch axis. Both outputs are scored against the
+reference, and against each other, so the gap between the two measures
+how far apart the two encodings really are.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from . import tensor as T
 from .data import ParallelCorpus, Vocabulary, detokenize, reverse_bpe
 from .exceptions import CompatibilityError, ConfigError, ContractError
-from .latent import quantize
+from .latent import quantize, stack_latents
 from .training import System, make_batch
 from .transformer import encode, greedy_decode, pad_mask
 
@@ -119,11 +120,19 @@ def bleu(hypotheses, references) -> BleuReport:
 
 
 def _encode_for_decoding(system: System, lang: str, tokens):
-    """Encoder states and key mask, quantized when the system carries a codebook."""
-    h = encode(system.modules[lang], tokens)
+    """Packed encoder rows of the real positions and the [B, T] key mask,
+    quantized when the system carries a codebook."""
+    h = encode(system.modules[lang], tokens, packed=True)
     if system.codebook is not None:
         h, _, _, _ = quantize(system.codebook, h)
     return h, pad_mask(tokens)
+
+
+def _greedy(system: System, decoder_lang: str, side, max_steps: int | None) -> list[list[int]]:
+    """Greedy-decode one (packed rows, mask) side through ``decoder_lang``."""
+    rows, mask = side
+    steps = max_steps if max_steps is not None else system.config.max_len
+    return greedy_decode(system.modules[decoder_lang], T.unpack(rows, mask), mask, steps)
 
 
 def decode_corpus_side(
@@ -135,9 +144,7 @@ def decode_corpus_side(
     max_steps: int | None = None,
 ) -> list[list[str]]:
     """Greedy-decode padded token rows through one encoder/decoder pairing."""
-    latent, mask = _encode_for_decoding(system, encoder_lang, tokens)
-    steps = max_steps if max_steps is not None else system.config.max_len
-    decoded = greedy_decode(system.modules[decoder_lang], latent, mask, steps)
+    decoded = _greedy(system, decoder_lang, _encode_for_decoding(system, encoder_lang, tokens), max_steps)
     return [vocab.decode(ids) for ids in decoded]
 
 
@@ -150,8 +157,10 @@ def interlingua_eval(
 ) -> InterlinguaReport:
     """Score one decoder driven by both sides' encodings of a parallel set.
 
-    The references are never consulted during decoding; they only enter
-    the scoring stage afterwards.
+    The decoder runs once, over its own language's encoding stacked with
+    the partner's; row for row its output equals two separate
+    ``decode_corpus_side`` calls. The references are never consulted
+    during decoding; they only enter the scoring stage afterwards.
     """
     if decoder_lang not in system.modules:
         raise ConfigError(
@@ -175,12 +184,12 @@ def interlingua_eval(
     by_lang = {batch.lang_x: batch.x, batch.lang_y: batch.y}
     vocab = vocabs[decoder_lang]
 
-    auto = decode_corpus_side(
-        system, decoder_lang, decoder_lang, by_lang[decoder_lang], vocab, max_steps
+    stacked = stack_latents(
+        _encode_for_decoding(system, decoder_lang, by_lang[decoder_lang]),
+        _encode_for_decoding(system, other, by_lang[other]),
     )
-    translated = decode_corpus_side(
-        system, decoder_lang, other, by_lang[other], vocab, max_steps
-    )
+    decoded = [vocab.decode(ids) for ids in _greedy(system, decoder_lang, stacked, max_steps)]
+    auto, translated = decoded[: len(corpus)], decoded[len(corpus) :]
     refs = [vocab.decode(row) for row in corpus.sequences[decoder_lang]]
 
     return InterlinguaReport(

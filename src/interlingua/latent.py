@@ -45,6 +45,27 @@ def pool(raw: Tensor, pad_mask) -> Tensor:
     return T.segment_mean(raw, counts)
 
 
+def stack_latents(own, partner) -> tuple[Tensor, np.ndarray]:
+    """Two latents as one batch of 2B sentences, for a single decoder pass.
+
+    Each side is (packed rows [N, D], [B, T] mask) as
+    ``encode(..., packed=True)`` returns them. The rows are concatenated
+    and the masks padded with False to the wider width S and stacked to
+    [2B, S], so the stack's packed order is the own rows, then the
+    partner's. A padded column is masked in cross attention and gets
+    exactly zero weight, so each sentence decodes as it would alone.
+    """
+    (rows_a, mask_a), (rows_b, mask_b) = own, partner
+    mask_a, mask_b = np.asarray(mask_a, dtype=bool), np.asarray(mask_b, dtype=bool)
+    if mask_a.ndim != 2 or mask_b.ndim != 2 or mask_a.shape[0] != mask_b.shape[0]:
+        raise ShapeError(f"masks {mask_a.shape} and {mask_b.shape} are not [B, T] over one batch")
+    b = mask_a.shape[0]
+    mask = np.zeros((2 * b, max(mask_a.shape[1], mask_b.shape[1])), dtype=bool)
+    mask[:b, : mask_a.shape[1]] = mask_a
+    mask[b:, : mask_b.shape[1]] = mask_b
+    return T.concat([rows_a, rows_b], axis=0), mask
+
+
 def _check_pair(hx, hy):
     ax, ay = T._as_array(hx), T._as_array(hy)
     if ax.shape != ay.shape:

@@ -410,14 +410,17 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _make(out, (x, dx), (gain, dgain), (bias, dbias))
 
 
-def cross_entropy(logits, targets, pad_id: int = 0) -> Tensor:
+def cross_entropy(logits, targets, pad_id: int = 0, rows: slice | None = None) -> Tensor:
     """Mean negative log-likelihood over non-pad target positions.
 
     ``logits`` has one trailing vocabulary axis beyond the target shape.
     Positions whose target equals ``pad_id`` contribute neither to the sum
-    nor to the averaging count.
+    nor to the averaging count. With ``rows``, only that range of the
+    first axis of ``logits`` is scored against ``targets``; the other
+    rows get zero gradient.
     """
-    la = _as_array(logits)
+    full = _as_array(logits)
+    la = full if rows is None else full[rows]
     t = np.asarray(targets)
     if not np.issubdtype(t.dtype, np.integer):
         raise ContractError(f"targets must be integers, got dtype {t.dtype}")
@@ -440,7 +443,12 @@ def cross_entropy(logits, targets, pad_id: int = 0) -> Tensor:
         at_target = np.take_along_axis(p, t[..., None], axis=-1) - 1.0
         np.put_along_axis(p, t[..., None], at_target, axis=-1)
         p *= mask[..., None]
-        return p * (g / count)
+        p *= g / count
+        if rows is None:
+            return p
+        spread = np.zeros(full.shape)
+        spread[rows] = p
+        return spread
 
     return _make(loss, (logits, fn))
 

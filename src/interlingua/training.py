@@ -1,8 +1,10 @@
 """Joint training of language modules against a shared latent space.
 
 One optimization step encodes both sides of a parallel batch once,
-decodes four ways (two reconstructions, two cross translations), adds a
-differentiable distance between the pooled latents, and applies Adam.
+runs each language's decoder once over its own latent and the partner's
+stacked on the batch axis (a reconstruction and a cross translation),
+adds a differentiable distance between the pooled latents, and applies
+Adam.
 Batches are sampled statelessly from (seed, step), so training resumed
 from a checkpoint continues bit-exactly where the original run would
 have gone. Checkpoints are a deterministic binary container.
@@ -24,7 +26,7 @@ from .exceptions import (
     ConfigError,
     DivergenceError,
 )
-from .latent import COMMITMENT_BETA, Codebook, corr_distance, init_codebook, max_distance, pool, quantize
+from .latent import COMMITMENT_BETA, Codebook, corr_distance, init_codebook, max_distance, pool, quantize, stack_latents
 from .seeding import derive_rng
 from .tensor import GradTape, Tensor, backward
 from .transformer import (
@@ -191,7 +193,9 @@ def joint_loss(
     """Five-term objective over one parallel batch.
 
     Each encoder runs once; its states feed both the matching decoder
-    (reconstruction) and the other language's decoder (translation). The
+    (reconstruction) and the other language's decoder (translation). Each
+    decoder runs once, over its own language's latent stacked with the
+    partner's, and its logits split into the two cross-entropy terms. The
     distance term compares pooled pre-quantization latents. Returns the
     scalar total and a float breakdown whose weighted sum reproduces the
     total exactly; the breakdown always carries a measured correlation
@@ -228,11 +232,8 @@ def joint_loss(
     # computed without a target
     in_x = np.where(mask_x, shift_targets(batch.x), PAD_ID)
     in_y = np.where(mask_y, shift_targets(batch.y), PAD_ID)
-    out_x, out_y = batch.x[mask_x], batch.y[mask_y]
-    l_xx = T.cross_entropy(decode_teacher_forced(mx, dec_x, mask_x, in_x, dropout_rng, packed=True), out_x)
-    l_yy = T.cross_entropy(decode_teacher_forced(my, dec_y, mask_y, in_y, dropout_rng, packed=True), out_y)
-    l_xy = T.cross_entropy(decode_teacher_forced(my, dec_x, mask_x, in_y, dropout_rng, packed=True), out_y)
-    l_yx = T.cross_entropy(decode_teacher_forced(mx, dec_y, mask_y, in_x, dropout_rng, packed=True), out_x)
+    l_xx, l_yx = _decode_both(mx, (dec_x, mask_x), (dec_y, mask_y), in_x, batch.x[mask_x], dropout_rng)
+    l_yy, l_xy = _decode_both(my, (dec_y, mask_y), (dec_x, mask_x), in_y, batch.y[mask_y], dropout_rng)
 
     if cfg.distance_mode == "corr":
         dist = corr_distance(pooled_x, pooled_y)
@@ -266,6 +267,22 @@ def joint_loss(
     if vq is not None:
         components["vq"] = vq.item()
     return total, components
+
+
+def _decode_both(module: LanguageModule, own, partner, target_in, targets, dropout_rng):
+    """Cross entropies of one decoder fed from its own latent and from the
+    partner's, in that order, from one teacher-forced pass over both
+    latents stacked on the batch axis: the logit rows of the own-latent
+    half come first."""
+    latent, src_mask = stack_latents(own, partner)
+    logits = decode_teacher_forced(
+        module, latent, src_mask, np.concatenate([target_in, target_in]), dropout_rng, packed=True
+    )
+    n = targets.shape[0]
+    return (
+        T.cross_entropy(logits, targets, rows=slice(0, n)),
+        T.cross_entropy(logits, targets, rows=slice(n, None)),
+    )
 
 
 def _weighted(term: Tensor, weight: float) -> Tensor:

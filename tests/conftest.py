@@ -1,11 +1,12 @@
 """Shared builders: prepared toy corpora and small systems for integration tests."""
 
+import numpy as np
 import pytest
 
 from interlingua import data as D
 from interlingua import toy
 from interlingua.training import System, TrainConfig, build_system
-from interlingua.transformer import ModelConfig
+from interlingua.transformer import EOS_ID, ModelConfig
 
 # One human-readable verdict line per acceptance criterion, filled in by
 # tests/test_acceptance.py and echoed after the run so the go/no-go list
@@ -42,6 +43,17 @@ def prepare_toy(tmp_path, n_train=16, n_test=4, seed=0, merges=120, vocab_cap=64
         lang_y="y",
     )
     return corpus, vocabs, models, paths
+
+
+def unequal_corpus(vocab_sizes, lengths, seed=11) -> D.ParallelCorpus:
+    """Random x/y id rows of the given lengths (eos included), so the sides
+    can differ in length row by row and in batch width; toy pairs never do."""
+    rng = np.random.default_rng(seed)
+    sequences = {
+        lang: [np.append(rng.integers(4, vocab_sizes[lang], size=n - 1), EOS_ID) for n in lengths[lang]]
+        for lang in ("x", "y")
+    }
+    return D.ParallelCorpus(languages=("x", "y"), sequences=sequences)
 
 
 def small_model_config(**kw) -> ModelConfig:

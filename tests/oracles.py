@@ -215,8 +215,10 @@ def padded_decode_teacher_forced(module, latent, src_mask, target_in):
 
 def padded_joint_loss(batch, system, cfg):
     """The five-term objective of ``training.joint_loss`` over padded batches:
-    masked mean pooling, padded decoders, every loss weight applied as a
-    multiplication. No quantizer and no dropout."""
+    masked mean pooling, padded decoders (one separate pass for each of the
+    four cross-entropy terms), every loss weight applied as a
+    multiplication. No quantizer and no dropout. Returns the total and the
+    five terms' values."""
     from interlingua import tensor as T
     from interlingua.latent import corr_distance, max_distance
     from interlingua.training import shift_targets
@@ -243,4 +245,5 @@ def padded_joint_loss(batch, system, cfg):
     total = T.mul(terms[0], cfg.loss_weights[0])
     for term, weight in zip(terms[1:], cfg.loss_weights[1:]):
         total = T.add(total, T.mul(term, weight))
-    return total
+    names = ("l_xx", "l_yy", "l_xy", "l_yx", "distance")
+    return total, {name: term.item() for name, term in zip(names, terms)}

@@ -240,6 +240,7 @@ def _op_cases(seed):
         ("softmax", [a], lambda ta: s(T.softmax(ta, axis=-1), w)),
         ("layer_norm", [xn, gain, bias], lambda tx, tg, tb: s(T.layer_norm(tx, tg, tb), wln)),
         ("cross_entropy", [logits], lambda tl: T.cross_entropy(tl, targets)),
+        ("cross_entropy", [logits], lambda tl: T.cross_entropy(tl, targets[1:], rows=slice(1, None))),
         ("embedding", [table], lambda tt: s(T.embedding(tt, ids), wemb)),
         ("dropout", [dx], lambda tx: s(T.dropout(tx, 0.35, np.random.default_rng(seed)), wdx)),
         ("pack", [px], lambda tv: s(T.pack(tv, pmask), wpx)),

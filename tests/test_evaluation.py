@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import fast_train_config, prepare_toy, small_model_config, small_system
+from conftest import fast_train_config, prepare_toy, small_model_config, small_system, unequal_corpus
 from interlingua import data as D
+from interlingua import evaluation as E
 from interlingua.evaluation import (
     InterlinguaReport,
     bleu,
@@ -170,6 +171,53 @@ def identity_pair_setup(tmp_path):
 
 
 class TestInterlinguaEval:
+    @pytest.mark.parametrize("quantized", [False, True])
+    def test_equals_two_separate_decoder_passes(self, toy_corpus, monkeypatch, quantized):
+        # one stacked pass per decoder must give the words and the report of
+        # two decode_corpus_side calls, on sides of different widths
+        _, vocabs, _, _ = toy_corpus
+        system = build_system(
+            small_model_config(num_blocks=2, d_model=32, max_len=50),
+            {lang: len(v) for lang, v in vocabs.items()},
+            seed=6, quantize_latent=quantized, vq_tables=2, vq_entries=8,
+        )
+        lengths = {"x": (3, 9, 2, 6, 4, 7, 11, 5, 8, 2), "y": (5, 2, 14, 6, 8, 3, 20, 9, 4, 12)}
+        corpus = unequal_corpus({lang: len(v) for lang, v in vocabs.items()}, lengths)
+        batch = make_batch(corpus, range(len(corpus)))
+        assert batch.x.shape[1] != batch.y.shape[1]
+        by_lang = {"x": batch.x, "y": batch.y}
+        scored = []
+
+        def recording_bleu(hyps, refs):
+            scored.append(list(hyps))
+            return bleu(hyps, refs)
+
+        monkeypatch.setattr(E, "bleu", recording_bleu)
+        for dec, enc in (("x", "y"), ("y", "x")):
+            scored.clear()
+            report = interlingua_eval(system, dec, corpus, vocabs)
+            auto = decode_corpus_side(system, dec, dec, by_lang[dec], vocabs[dec])
+            translated = decode_corpus_side(system, dec, enc, by_lang[enc], vocabs[dec])
+            assert len({len(words) for words in auto + translated}) > 1  # rows stop at different steps
+            assert scored[:2] == [auto, translated]
+            refs = [vocabs[dec].decode(row) for row in corpus.sequences[dec]]
+            want = InterlinguaReport(dec, enc, bleu(auto, refs), bleu(translated, refs), bleu(translated, auto))
+            assert report_json(report) == report_json(want)
+
+    def test_one_greedy_pass_per_decoder(self, toy_corpus, monkeypatch):
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        rows = []
+        original = E.greedy_decode
+
+        def spy(module, latent, src_mask, max_steps):
+            rows.append(len(src_mask))
+            return original(module, latent, src_mask, max_steps)
+
+        monkeypatch.setattr(E, "greedy_decode", spy)
+        interlingua_eval(system, "x", corpus, vocabs)
+        assert rows == [2 * len(corpus)]
+
     def test_reports_all_three_scores(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)

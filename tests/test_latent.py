@@ -47,6 +47,25 @@ class TestPool:
         assert np.all(g[0, 2:] == 0.0)
 
 
+class TestStackLatents:
+    def test_own_rows_then_partner_rows_at_the_wider_width(self):
+        rng = np.random.default_rng(0)
+        mask_a = np.array([[True, True], [True, False]])
+        mask_b = np.array([[True, False, False, False], [True, True, True, True]])
+        rows_a, rows_b = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+        rows, mask = L.stack_latents((rows_a, mask_a), (rows_b, mask_b))
+        assert mask.shape == (4, 4) and not mask[:2, 2:].any()
+        np.testing.assert_array_equal(mask[:2, :2], mask_a)
+        np.testing.assert_array_equal(mask[2:], mask_b)
+        padded = T.unpack(rows, mask).array
+        np.testing.assert_array_equal(padded[:2, :2], T.unpack(rows_a, mask_a).array)
+        np.testing.assert_array_equal(padded[2:], T.unpack(rows_b, mask_b).array)
+
+    def test_batches_must_match(self):
+        with pytest.raises(ShapeError):
+            L.stack_latents((np.ones((2, 2)), np.ones((2, 1), bool)), (np.ones((3, 2)), np.ones((3, 1), bool)))
+
+
 class TestCorrDistance:
     def test_hand_case(self):
         hx = T.Tensor([[1.0], [2.0], [3.0]])

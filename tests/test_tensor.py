@@ -347,6 +347,7 @@ class TestGradientsContract:
             (lambda x: T.softmax(x, axis=-1), [a]),
             (lambda x, g_, b_: T.layer_norm(x, g_, b_), [a, gain, bias]),
             (lambda x: T.cross_entropy(x, targets), [a]),
+            (lambda x: T.cross_entropy(x, targets[1:], rows=slice(1, None)), [a]),
             (lambda x: T.embedding(x, np.array([[0, 2], [2, 1]])), [a]),
             (lambda x: T.dropout(x, 0.5, np.random.default_rng(0)), [a]),
             (lambda x: T.straight_through(x, b), [a]),
@@ -495,6 +496,28 @@ class TestGradientsAgainstFiniteDifferences:
             targets[0, 0] = 0  # one pad position must stay excluded
             targets[1, 3] = 5
             check_against_fd(lambda tl: T.cross_entropy(tl, targets), [logits])
+
+    def test_cross_entropy_over_a_row_range(self):
+        # two ranges of one logits tensor, as a stacked decoder pass splits
+        # them: each term equals the loss on its own rows, and the rows
+        # outside a range get zero gradient from it
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            logits = rng.normal(size=(7, 6))
+            head, tail = rng.integers(0, 6, size=3), rng.integers(0, 6, size=4)
+            head[0] = 0  # one pad position must stay excluded
+            check_against_fd(
+                lambda tl: T.add(
+                    T.cross_entropy(tl, head, rows=slice(0, 3)),
+                    T.mul(T.cross_entropy(tl, tail, rows=slice(3, None)), 1.7),
+                ),
+                [logits],
+            )
+            check_against_fd(lambda tl: T.cross_entropy(tl, tail, rows=slice(3, None)), [logits])
+            alone = T.cross_entropy(logits[3:], tail).item()
+            assert T.cross_entropy(logits, tail, rows=slice(3, None)).item() == alone
+            with pytest.raises(ShapeError):
+                T.cross_entropy(logits, tail, rows=slice(0, 3))
 
     def test_embedding(self):
         for seed in range(5):

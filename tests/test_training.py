@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import fast_train_config, prepare_toy, small_model_config, small_system
+from conftest import fast_train_config, prepare_toy, small_model_config, small_system, unequal_corpus
 from interlingua import data as D
 from interlingua import tensor as T
 from interlingua import toy
@@ -239,6 +239,42 @@ class TestPackedObjective:
         for name, ref in want_grads.items():
             np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10, err_msg=name)
 
+    @pytest.mark.parametrize("config", ["toy", "wide"])
+    @pytest.mark.parametrize("mode", ["corr", "max"])
+    def test_unequal_side_widths_match_padded_composition(self, config, mode):
+        # each decoder's stacked latent pads the narrower side's mask with
+        # masked columns; the padded oracle decodes every pairing on its own
+        model, train_kw = {"toy": TOY, "wide": WIDE}[config]
+        cfg = fast_train_config(**dict(train_kw, batch_size=6, distance_mode=mode, quantize=False))
+        system = build_system(model, {"x": 23, "y": 29}, seed=5)
+        lengths = {"x": (3, 9, 2, 6, 4, 7), "y": (5, 2, 14, 6, 8, 3)}
+        batch = make_batch(unequal_corpus({"x": 23, "y": 29}, lengths), range(6))
+        assert batch.x.shape[1] != batch.y.shape[1]
+        assert ((batch.x != PAD_ID).sum(axis=1) != (batch.y != PAD_ID).sum(axis=1)).any()
+        loss, components, grads = loss_and_grads(joint_loss, system, batch, cfg)
+        want, want_components, want_grads = loss_and_grads(padded_joint_loss, system, batch, cfg)
+        assert abs(loss - want) < 1e-10
+        for key, value in want_components.items():
+            assert abs(components[key] - value) < 1e-10, key
+        for name, ref in want_grads.items():
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-10, err_msg=name)
+
+    def test_one_teacher_forced_pass_per_decoder(self, toy_corpus, monkeypatch):
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        cfg = fast_train_config()
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, 0)
+        rows = []
+        original = TR.decode_teacher_forced
+
+        def spy(module, latent, src_mask, target_in, *args, **kwargs):
+            rows.append(len(target_in))
+            return original(module, latent, src_mask, target_in, *args, **kwargs)
+
+        monkeypatch.setattr(TR, "decode_teacher_forced", spy)
+        joint_loss(batch, system, cfg)
+        assert rows == [2 * cfg.batch_size] * 2
+
     def test_dvq_ignores_an_all_pad_column(self, toy_corpus):
         # the quantizer sees real positions only, so widening the batch by
         # one column of padding changes neither the loss nor any gradient
@@ -261,7 +297,7 @@ class TestPackedObjective:
         for name, ref in grads.items():
             np.testing.assert_allclose(wide_grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("config, budget", [("toy", 195), ("wide", 300)])
+    @pytest.mark.parametrize("config, budget", [("toy", 120), ("wide", 215)])
     def test_op_nodes_per_step(self, toy_corpus, config, budget):
         # tape length minus the watched leaves; deterministic for a config
         corpus, vocabs, _, _ = toy_corpus

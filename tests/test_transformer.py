@@ -12,6 +12,7 @@ from interlingua.exceptions import (
     DegenerateBatchError,
     LengthError,
 )
+from interlingua.latent import stack_latents
 from oracles import (
     assert_grad_close,
     finite_difference,
@@ -310,11 +311,41 @@ class TestCachedDecodeAgainstOracle:
             sizes, seed=seed, quantize_latent=True, vq_tables=2, vq_entries=8,
         )
         batch = make_batch(corpus, range(len(corpus)))
-        latent, mask = E._encode_for_decoding(system, "x", batch.x)
-        want = reference_greedy_decode(system.modules["y"], latent, mask, 50)
+        rows, mask = E._encode_for_decoding(system, "x", batch.x)
+        want = reference_greedy_decode(system.modules["y"], T.unpack(rows, mask), mask, 50)
         assert len({len(row) for row in want}) > 1
         got = E.decode_corpus_side(system, "y", "x", batch.x, vocabs["y"])
         assert got == [vocabs["y"].decode(ids) for ids in want]
+
+    def test_all_masked_columns_change_nothing(self, monkeypatch):
+        # a stacked latent pads the narrower side's mask to the wider side's
+        # width; the padded columns, whatever they hold, must get zero weight
+        my, latent, mask = untrained_pair(3)
+        b, width = mask.shape
+        partner_mask = np.ones((b, width + 5), dtype=bool)
+        partner = (np.random.default_rng(0).normal(size=(int(partner_mask.sum()), 32)), partner_mask)
+        rows, stacked_mask = stack_latents((T.pack(latent, mask), mask), partner)
+        widened, widened_mask = T.unpack(rows, stacked_mask).array[:b], stacked_mask[:b]
+        assert widened_mask.shape == (b, width + 5) and not widened_mask[:, width:].any()
+        widened[:, width:] = np.random.default_rng(1).normal(scale=1e3, size=(b, 5, 32))
+        runs = []
+        original = M._decoder_logits
+
+        def spy(*args, **kwargs):
+            logits = original(*args, **kwargs)
+            runs[-1].append(logits.array[:, 0].copy())
+            return logits
+
+        monkeypatch.setattr(M, "_decoder_logits", spy)
+        outs = []
+        for la, ma in ((latent, mask), (widened, widened_mask)):
+            runs.append([])
+            outs.append(M.greedy_decode(my, la, ma, max_steps=50))
+        assert len({len(row) for row in outs[0]}) > 1  # rows stop at different steps
+        assert outs[1] == outs[0]
+        assert len(runs[1]) == len(runs[0])
+        for got, want in zip(runs[1], runs[0]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_latent_checks(self):
         my, latent, mask = untrained_pair(0, batch=2)
