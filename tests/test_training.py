@@ -297,8 +297,12 @@ class TestPackedObjective:
         for name, ref in grads.items():
             np.testing.assert_allclose(wide_grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
-    @pytest.mark.parametrize("config, budget", [("toy", 120), ("wide", 215)])
-    def test_op_nodes_per_step(self, toy_corpus, config, budget):
+    # the case ids keep the ceilings set with the pad-free objective (195
+    # toy, 300 wide); one pass per decoder lowered them to these budgets
+    NODE_BUDGET = {"toy": 120, "wide": 215}
+
+    @pytest.mark.parametrize("config, ceiling", [("toy", 195), ("wide", 300)])
+    def test_op_nodes_per_step(self, toy_corpus, config, ceiling):
         # tape length minus the watched leaves; deterministic for a config
         corpus, vocabs, _, _ = toy_corpus
         model, train_kw = {"toy": TOY, "wide": WIDE}[config]
@@ -315,6 +319,8 @@ class TestPackedObjective:
             nodes = len(tape) - len(params)
         finally:
             tape.release()
+        budget = self.NODE_BUDGET[config]
+        assert budget <= ceiling
         assert nodes <= budget, f"{nodes} op nodes per {config} step, budget {budget}"
 
     def test_step_tape_dies_with_the_step(self, toy_corpus, monkeypatch):
