@@ -389,11 +389,17 @@ def read_corpus(path) -> ParallelCorpus:
         provenance = header_field(header, "provenance", dict, path)
         sequences: dict[str, list[np.ndarray]] = {}
         for lang in languages:
-            # one read per side, split by the row lengths: a read per row
-            # costs several times more on corpora of thousands of pairs
+            # one read per side, sliced into rows by the row lengths: a read
+            # per row, or np.split, costs several times more on corpora of
+            # thousands of pairs
             lengths = header_field(all_lengths, lang, list, path, int)
             side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
-            sequences[lang] = np.split(side, np.cumsum(lengths)[:-1]) if lengths else []
+            rows = []
+            lo = 0
+            for n in lengths:
+                rows.append(side[lo : lo + n])
+                lo += n
+            sequences[lang] = rows
         expect_end(fh, path)
     return ParallelCorpus(languages=languages, sequences=sequences, provenance=provenance)
 

@@ -127,7 +127,8 @@ class Codebook:
 
 
 def init_codebook(n_tables: int, entries: int, d_model: int, seed: int = 0, tables=None) -> Codebook:
-    """A seeded random codebook, or one holding the given ``tables`` arrays."""
+    """A seeded random codebook, or one holding copies of the given
+    ``tables`` arrays; the tables are views of one contiguous buffer."""
     if n_tables < 1 or entries < 1:
         raise ConfigError(f"need at least one table and one entry, got {n_tables}/{entries}")
     if d_model % n_tables != 0:
@@ -135,8 +136,9 @@ def init_codebook(n_tables: int, entries: int, d_model: int, seed: int = 0, tabl
     sub = d_model // n_tables
     if tables is None:
         rng = derive_rng(seed, "codebook")
-        tables = [rng.normal(0.0, sub ** -0.5, size=(entries, sub)) for _ in range(n_tables)]
-    return Codebook(tables=[Tensor(t) for t in tables], n_tables=n_tables, entries=entries, sub_dim=sub)
+        tables = (rng.normal(0.0, sub ** -0.5, size=(entries, sub)) for _ in range(n_tables))
+    tensors = T.tensors_in_one_buffer([(entries, sub)] * n_tables, tables)
+    return Codebook(tables=tensors, n_tables=n_tables, entries=entries, sub_dim=sub)
 
 
 def quantize(cb: Codebook, x) -> tuple[Tensor, np.ndarray, Tensor, Tensor]:

@@ -127,29 +127,48 @@ class Tensor:
         return matmul(self, other)
 
 
+def tensors_in_one_buffer(shapes, values) -> list[Tensor]:
+    """Tensors whose arrays are consecutive views of one new contiguous
+    float64 buffer, in the order of ``shapes``, each filled from the
+    matching entry of ``values`` (an iterable, consumed in order).
+
+    The views are the storage: write them in place, never rebind them.
+    """
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    buffer = np.empty(sum(sizes))
+    out = []
+    lo = 0
+    for shape, size, value in zip(shapes, sizes, values):
+        view = buffer[lo : lo + size].reshape(shape)
+        view[...] = value
+        out.append(Tensor(view))
+        lo += size
+    return out
+
+
 class Gradients:
     """Result of a backward pass, indexable by the watched leaves of its tape.
 
-    Each lookup returns a writable array that shares no memory with any
-    parameter or with another leaf's gradient; a leaf the loss does not
-    reach gets zeros. The sweep frees every recorded (non-leaf) node's
-    gradient once it has been passed on, so looking one up raises
+    The watched leaves' gradients live in one flat buffer, ``flat``, one
+    range per leaf in the order the leaves were watched. Each lookup
+    returns that leaf's range: a writable array that shares no memory
+    with any parameter or with another leaf's gradient; a leaf the loss
+    does not reach reads zeros. The sweep frees every recorded (non-leaf)
+    node's gradient once it has been passed on, so looking one up raises
     ``TapeError`` rather than reading a freed slot as zeros.
     """
 
-    def __init__(self, tape: GradTape, values: list):
+    def __init__(self, tape: GradTape, values: list, flat: np.ndarray):
         self._tape = tape
         self._values = values
+        self.flat = flat
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         if not isinstance(t, Tensor) or t.tape is not self._tape or t.node is None:
             raise TapeError("tensor is not attached to the tape this pass ran on")
         if self._tape._parents[t.node]:
             raise TapeError("gradients of recorded tensors are freed by the sweep; watch a leaf instead")
-        g = self._values[t.node]
-        if g is None:
-            return np.zeros(t.shape)
-        return g
+        return self._values[t.node]
 
 
 def _as_array(x) -> np.ndarray:
@@ -252,7 +271,7 @@ def absolute(a) -> Tensor:
 def relu(a) -> Tensor:
     aa = _as_array(a)
     mask = aa > 0
-    return _make(np.where(mask, aa, 0.0), (a, lambda g: g * mask))
+    return _make(np.maximum(aa, 0.0), (a, lambda g: g * mask))
 
 
 def matmul(a, b) -> Tensor:
@@ -397,8 +416,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
         gx = g * ga
         return inv * (
             gx
-            - gx.mean(axis=-1, keepdims=True)
-            - xhat * np.mean(gx * xhat, axis=-1, keepdims=True)
+            - gx.sum(axis=-1, keepdims=True) / d
+            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
         )
 
     def dgain(g):
@@ -685,18 +704,26 @@ def backward(loss: Tensor) -> Gradients:
 
     A recorded node's gradient is dropped as soon as it has been passed on
     to its parents, so the sweep holds only the gradients still in flight
-    plus those of the leaves. Contributions are stored as the grad
-    closures return them and summed out of place, so a contribution that
-    aliases another slot (``add`` passes ``g`` itself to both operands) is
-    never written through; no closure may modify its ``g`` in place. A
-    leaf's first contribution is copied, which keeps the arrays handed out
-    by ``Gradients`` private and writable.
+    plus those of the leaves. A recorded node's contributions are stored
+    as the grad closures return them and summed out of place, so a
+    contribution that aliases another slot (``add`` passes ``g`` itself to
+    both operands) is never written through; no closure may modify its
+    ``g`` in place. The leaves' gradients are written into one flat
+    buffer, a leaf's first contribution copied into its range and later
+    ones added in place, which keeps the arrays handed out by
+    ``Gradients`` private and writable.
     """
     if not isinstance(loss, Tensor) or loss.array.ndim != 0:
         raise ContractError("backward needs a 0-d scalar tensor")
     if loss.tape is None or loss.node is None:
         raise TapeError("loss is not attached to a gradient tape")
     tape = loss.tape
+    flat = np.empty(sum(t.array.size for t in tape._watched))
+    slots = {}
+    lo = 0
+    for t in tape._watched:
+        slots[t.node] = flat[lo : lo + t.array.size].reshape(t.shape)
+        lo += t.array.size
     values: list = [None] * len(tape)
     values[loss.node] = np.ones((), dtype=np.float64)
     parents = tape._parents
@@ -707,10 +734,18 @@ def backward(loss: Tensor) -> Gradients:
         values[idx] = None
         for pidx, fn in zip(parents[idx], tape._grad_fns[idx]):
             contrib = fn(g)
-            if values[pidx] is not None:
+            if not parents[pidx]:
+                if values[pidx] is None:
+                    values[pidx] = slots[pidx]
+                    np.copyto(values[pidx], contrib)
+                else:
+                    values[pidx] += contrib
+            elif values[pidx] is not None:
                 values[pidx] = values[pidx] + contrib
-            elif parents[pidx]:
-                values[pidx] = contrib
             else:
-                values[pidx] = np.array(contrib, dtype=np.float64)
-    return Gradients(tape, values)
+                values[pidx] = contrib
+    for node, slot in slots.items():
+        if values[node] is None:
+            slot.fill(0.0)
+            values[node] = slot
+    return Gradients(tape, values, flat)

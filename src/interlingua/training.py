@@ -46,6 +46,11 @@ CHECKPOINT_VERSION = 1
 # the checkpoint header's magic: file type, then the format version
 _CHECKPOINT_LEAD = CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
 
+# values per chunk of the Adam step: a chunk's parameters, gradients,
+# moments and two scratch arrays stay in cache, where one pass over the
+# whole buffer per numpy call would stream each array from memory again
+ADAM_CHUNK = 32768
+
 
 @dataclass
 class TrainConfig:
@@ -84,8 +89,12 @@ class TrainConfig:
 @dataclass
 class TrainState:
     step: int = 0
+    # Adam's (m, v) by parameter name; after a step, the trained names'
+    # moments are views of one buffer laid out like the gradient buffer
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
+    # the trained tensors, and the layout of the Adam step built for them
+    _adam: tuple | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -351,29 +360,84 @@ def train_step(
 
 
 def _adam_update(state, params, names, grads, cfg: TrainConfig):
+    """One Adam step over every trained parameter, chunk by chunk.
+
+    ``grads`` must come from a tape that watched exactly ``names``, in
+    that order, so ``grads.flat`` and the moment buffer share one layout.
+    Each chunk evaluates the per-array update ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g^2``, ``p -= lr (m / bias1) / (sqrt(v / bias2)
+    + eps)`` operation by operation, so the result is the same bits.
+    """
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    missing = [n for n in names if n not in state.moments]
-    if missing:
-        # one buffer for every new moment: a single large allocation that
-        # stays out of the heap the step's small arrays come from
-        sizes = [params[n].array.size for n in missing]
-        flat = np.zeros((2, sum(sizes)))
-        ends = np.cumsum(sizes)
-        for n, hi, size in zip(missing, ends, sizes):
-            shape = params[n].array.shape
-            state.moments[n] = (flat[0, hi - size : hi].reshape(shape), flat[1, hi - size : hi].reshape(shape))
-    for n in names:
-        p = params[n]
-        g = grads[p]
-        m, v = state.moments[n]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.array -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+    runs, moments = _adam_layout(state, params, names)
+    scratch = np.empty((2, ADAM_CHUNK))
+    for flat_p, lo, hi in runs:
+        for start in range(lo, hi, ADAM_CHUNK):
+            stop = min(start + ADAM_CHUNK, hi)
+            p = flat_p[start - lo : stop - lo]
+            g, m, v = grads.flat[start:stop], moments[0, start:stop], moments[1, start:stop]
+            a, b = scratch[:, : stop - start]
+            m *= b1
+            np.multiply(1.0 - b1, g, out=a)
+            m += a
+            v *= b2
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - b2, a, out=a)
+            v += a
+            np.divide(v, bias2, out=a)
+            np.sqrt(a, out=a)
+            a += cfg.adam_eps
+            np.divide(m, bias1, out=b)
+            np.multiply(cfg.learning_rate, b, out=b)
+            b /= a
+            p -= b
+
+
+def _adam_layout(state, params, names):
+    """The runs of trained parameters that are adjacent in one buffer, as
+    (flat view of the run, start, end in the gradient layout), and the
+    [2, n] moment buffer in that layout.
+
+    Built once for a set of trained tensors and kept on the state. The
+    build copies any moments the state already holds (from earlier steps
+    or a checkpoint) into the buffer and points ``state.moments`` at it.
+    """
+    tensors = [params[n] for n in names]
+    if state._adam is not None and state._adam[0] == tensors:
+        return state._adam[1:]
+    moments = np.zeros((2, sum(t.array.size for t in tensors)))
+    runs = []
+    lo = 0
+    for n, t in zip(names, tensors):
+        hi = lo + t.array.size
+        m, v = moments[0, lo:hi].reshape(t.shape), moments[1, lo:hi].reshape(t.shape)
+        if n in state.moments:
+            m[...], v[...] = state.moments[n]
+        state.moments[n] = (m, v)
+        joined = _joined(runs[-1][0], t.array) if runs else None
+        if joined is None:
+            runs.append((t.array.reshape(-1), lo, hi))
+        else:
+            runs[-1] = (joined, runs[-1][1], hi)
+        lo = hi
+    state._adam = (tensors, runs, moments)
+    return runs, moments
+
+
+def _joined(run: np.ndarray, a: np.ndarray) -> np.ndarray | None:
+    """The flat view ``run`` extended by ``a`` if ``a`` starts where
+    ``run`` ends in the same contiguous 1-D buffer, else None."""
+    base = a.base
+    if not (isinstance(base, np.ndarray) and base is run.base and base.ndim == 1 and base.flags.c_contiguous):
+        return None
+    start, end = run.__array_interface__["data"][0], a.__array_interface__["data"][0]
+    if start + run.nbytes != end:
+        return None
+    offset = (start - base.__array_interface__["data"][0]) // base.itemsize
+    return base[offset : offset + run.size + a.size]
 
 
 def train(
@@ -520,9 +584,11 @@ def load_checkpoint(
             train_config = None if train_fields is None else TrainConfig(**train_fields)
         except (TypeError, ValueError, ConfigError) as err:
             raise CheckpointError(f"damaged header in {path}: {err}") from None
+        # read-only views of the file's bytes: parameters are copied into
+        # their module's buffer, moments into Adam's on the first step
         loaded: dict[str, np.ndarray] = {}
         for name, shape in arrays:
-            loaded[name] = read_array(fh, "<f8", shape, path).copy()
+            loaded[name] = read_array(fh, "<f8", shape, path)
         expect_end(fh, path)
 
     def stored(name: str, shape) -> np.ndarray:
@@ -530,7 +596,8 @@ def load_checkpoint(
             raise CheckpointError(f"checkpoint missing parameter {name}")
         if loaded[name].shape != tuple(shape):
             raise CheckpointError(f"shape mismatch for {name}: {loaded[name].shape} vs {tuple(shape)}")
-        return loaded[name]
+        # dropped once copied, so a load holds each parameter only once
+        return loaded.pop(name)
 
     # modules and codebook are built from the stored arrays, with no random init
     modules = {

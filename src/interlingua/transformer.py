@@ -101,7 +101,8 @@ class LanguageModule:
 
     Parameters start from a seeded random init, or, when ``arrays`` is
     given, from ``arrays(name, shape)`` for each parameter (a checkpoint
-    load), without drawing the random init at all.
+    load), without drawing the random init at all. They are views of one
+    contiguous buffer, in ``_layout`` order.
     """
 
     def __init__(
@@ -116,10 +117,10 @@ class LanguageModule:
             raise ConfigError("vocabulary too small for the reserved ids")
         self._pe = positional_encoding(config.max_len, config.d_model).array
         rng = derive_rng(seed, "module", language) if arrays is None else None
-        self.params: dict[str, Tensor] = {
-            name: Tensor(init(rng, shape) if arrays is None else arrays(name, shape))
-            for name, shape, init in self._layout()
-        }
+        layout = self._layout()
+        values = (init(rng, shape) if arrays is None else arrays(name, shape) for name, shape, init in layout)
+        tensors = T.tensors_in_one_buffer([shape for _, shape, _ in layout], values)
+        self.params: dict[str, Tensor] = {name: t for (name, _, _), t in zip(layout, tensors)}
 
     def _layout(self) -> list[tuple[str, tuple, Callable]]:
         """(name, shape, initializer) of every parameter, in init and checkpoint order."""

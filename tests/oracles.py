@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: central differences for gradients,
 exhaustive search for nearest neighbors, a direct transcription of corpus
-BLEU, and a transformer that computes every padded position through
-primitive ops. Slow and obvious beats fast and clever for reference code.
+BLEU, a transformer that computes every padded position through
+primitive ops, and Adam applied one parameter array at a time. Slow and
+obvious beats fast and clever for reference code.
 """
 
 from __future__ import annotations
@@ -247,3 +248,25 @@ def padded_joint_loss(batch, system, cfg):
         total = T.add(total, T.mul(term, weight))
     names = ("l_xx", "l_yy", "l_xy", "l_yx", "distance")
     return total, {name: term.item() for name, term in zip(names, terms)}
+
+
+def reference_adam_update(state, params, names, grads, cfg):
+    """``training._adam_update`` one parameter array at a time, out of place.
+
+    Same signature, same arithmetic in the same order; each parameter's
+    moments start at zeros and are stored back as new arrays.
+    """
+    t = state.step
+    b1, b2 = cfg.beta1, cfg.beta2
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for n in names:
+        p = params[n]
+        g = grads[p]
+        m, v = state.moments.get(n, (np.zeros(p.shape), np.zeros(p.shape)))
+        m = m * b1
+        m = m + (1.0 - b1) * g
+        v = v * b2
+        v = v + (1.0 - b2) * (g * g)
+        state.moments[n] = (m, v)
+        p.array -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)

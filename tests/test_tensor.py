@@ -192,6 +192,9 @@ class TestTapeMechanics:
         y = tape.watch(T.Tensor([[2.0, 3.0]]))
         grads = T.backward(T.reduce_sum(x * 2.0))
         np.testing.assert_array_equal(grads[y], np.zeros((1, 2)))
+        # one flat buffer holds the leaves' gradients in watch order
+        np.testing.assert_array_equal(grads.flat, [2.0, 0.0, 0.0])
+        assert np.shares_memory(grads[x], grads.flat) and np.shares_memory(grads[y], grads.flat)
 
     def test_unwatched_tensor_lookup_raises(self):
         tape = T.GradTape()
@@ -412,6 +415,13 @@ class TestGradientsAgainstFiniteDifferences:
                 return T.reduce_sum((T.sqrt(ta) + T.absolute(tb) + T.relu(tb)) * w)
 
             check_against_fd(build, [a, b])
+        # -0.0 gives +0.0, a NaN propagates forward and gets no gradient
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor([np.nan, -0.0, -1.0, 2.0]))
+        y = T.relu(x)
+        np.testing.assert_array_equal(y.array, [np.nan, 0.0, 0.0, 2.0])
+        assert not np.signbit(y.array[1])
+        np.testing.assert_array_equal(T.backward(T.reduce_sum(y))[x], [0.0, 0.0, 0.0, 1.0])
 
     def test_matmul_2d(self):
         for seed in range(5):

@@ -40,7 +40,7 @@ from interlingua.training import (
     weighted_component_sum,
 )
 from interlingua.transformer import BOS_ID, EOS_ID, PAD_ID, LanguageModule, ModelConfig
-from oracles import padded_joint_loss
+from oracles import padded_joint_loss, reference_adam_update
 
 # the README toy config and the wide benchmark's medium config
 TOY = (
@@ -627,6 +627,78 @@ class TestResume:
         assert tail == [h["loss"] for h in straight_state.history[3:]]
 
 
+def train_to(system, state, corpus, cfg, stop, trainable=None, update=None):
+    """Train from the state's step up to ``stop``; ``update``, when given,
+    stands in for ``training._adam_update``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if update is not None:
+            mp.setattr(TR, "_adam_update", update)
+        train(system, state, corpus, dataclasses.replace(cfg, max_steps=stop), trainable=trainable)
+
+
+def assert_same_training(run, reference):
+    (system, state), (ref_system, ref_state) = run, reference
+    assert_bit_identical(snapshot(ref_system), system.named_parameters())
+    assert state.moments.keys() == ref_state.moments.keys()
+    for name, (m, v) in ref_state.moments.items():
+        got_m, got_v = state.moments[name]
+        assert np.array_equal(got_m, m) and np.array_equal(got_v, v), f"moments differ for {name}"
+
+
+class TestWholeBufferAdam:
+    """The chunked whole-buffer Adam step against the per-array reference:
+    parameters and moments must agree bit for bit after several steps."""
+
+    def systems(self, vocabs, config, cfg, seed=3):
+        sizes = {lang: len(v) for lang, v in vocabs.items()}
+        return [
+            build_system(
+                config, sizes, seed=seed, quantize_latent=cfg.quantize,
+                vq_tables=cfg.vq_tables, vq_entries=cfg.vq_entries,
+            )
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("config, train_kw", [TOY, WIDE], ids=["toy", "wide"])
+    def test_matches_per_array_adam(self, toy_corpus, config, train_kw):
+        corpus, vocabs, _, _ = toy_corpus
+        cfg = fast_train_config(**train_kw)
+        system, ref_system = self.systems(vocabs, config, cfg)
+        state, ref_state = TrainState(), TrainState()
+        train_to(system, state, corpus, cfg, 3)
+        train_to(ref_system, ref_state, corpus, cfg, 3, update=reference_adam_update)
+        assert_same_training((system, state), (ref_system, ref_state))
+
+    def test_trainable_subset(self, toy_corpus):
+        # one whole module, every third name of the other and a codebook
+        # table: runs of one array and of many, with gaps between them
+        corpus, vocabs, _, _ = toy_corpus
+        cfg = fast_train_config(**TOY[1], quantize=True, vq_tables=2, vq_entries=8)
+        system, ref_system = self.systems(vocabs, TOY[0], cfg)
+        names = list(system.named_parameters())
+        trainable = {n for n in names if n.startswith("y/")} | set(names[::3]) | {"codebook/1"}
+        frozen = {n: a for n, a in snapshot(system).items() if n not in trainable}
+        state, ref_state = TrainState(), TrainState()
+        train_to(system, state, corpus, cfg, 3, trainable)
+        train_to(ref_system, ref_state, corpus, cfg, 3, trainable, update=reference_adam_update)
+        assert_bit_identical(frozen, system.named_parameters())
+        assert set(state.moments) == trainable
+        assert_same_training((system, state), (ref_system, ref_state))
+
+    def test_resume_matches_uninterrupted_reference(self, toy_corpus, tmp_path):
+        corpus, vocabs, _, _ = toy_corpus
+        cfg = fast_train_config(**TOY[1])
+        system, ref_system = self.systems(vocabs, TOY[0], cfg)
+        ref_state = TrainState()
+        train_to(ref_system, ref_state, corpus, cfg, 6, update=reference_adam_update)
+        state = TrainState()
+        train_to(system, state, corpus, cfg, 3)
+        save_checkpoint(system, state, tmp_path / "mid.ckpt", train_config=cfg)
+        resumed, resumed_state, _ = load_checkpoint(tmp_path / "mid.ckpt")
+        train_to(resumed, resumed_state, corpus, cfg, 6)
+        assert_same_training((resumed, resumed_state), (ref_system, ref_state))
+
+
 class TestDropout:
     def trained(self, vocabs, corpus, dropout, steps=3):
         system = small_system(vocabs, seed=2, dropout=dropout)
@@ -747,6 +819,40 @@ class TestAddLanguage:
         assert max(cold_gaps) > 10 * one.learning_rate
         emb_gap = np.max(np.abs(sys_warm.modules["z"].params["emb"].array - fresh_emb))
         assert emb_gap <= bound, "embedding table should keep its fresh initialization"
+
+    def test_parameters_are_views_of_one_buffer_per_module(self, toy_corpus, tmp_path):
+        def assert_one_buffer(tensors):
+            arrays = [t.array for t in tensors]
+            buffer = arrays[0].base
+            assert buffer is not None and buffer.ndim == 1
+            assert buffer.size == sum(a.size for a in arrays)
+            offset = 0
+            for a in arrays:
+                assert a.base is buffer and a.flags.writeable
+                assert a.__array_interface__["data"][0] == buffer.__array_interface__["data"][0] + 8 * offset
+                offset += a.size
+
+        def assert_storage(system):
+            for module in system.modules.values():
+                assert list(module.params) == [name for name, _, _ in module._layout()]
+                assert_one_buffer(module.params.values())
+            assert_one_buffer(system.codebook.tables)
+
+        corpus, vocabs, models, paths = toy_corpus
+        system = build_system(
+            small_model_config(), {lang: len(v) for lang, v in vocabs.items()},
+            seed=1, quantize_latent=True, vq_tables=2, vq_entries=8,
+        )
+        assert_storage(system)
+        cfg = fast_train_config(max_steps=2, quantize=True, vq_tables=2, vq_entries=8)
+        state = train(system, TrainState(), corpus, cfg)
+        save_checkpoint(system, state, tmp_path / "model.ckpt")
+        loaded, _, _ = load_checkpoint(tmp_path / "model.ckpt")
+        assert_storage(loaded)
+        corpus_xz, vocab_z = self._third_language_corpus(paths, vocabs, models, tmp_path)
+        new_module = LanguageModule("z", loaded.config, vocab_size=len(vocab_z), seed=21)
+        extended, _ = add_language(loaded, new_module, corpus_xz, cfg)
+        assert_storage(extended)
 
     def test_duplicate_language_rejected(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
