@@ -11,6 +11,7 @@ sides aligned with full provenance of what was dropped.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from collections import Counter
@@ -394,12 +395,8 @@ def read_corpus(path) -> ParallelCorpus:
             # thousands of pairs
             lengths = header_field(all_lengths, lang, list, path, int)
             side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
-            rows = []
-            lo = 0
-            for n in lengths:
-                rows.append(side[lo : lo + n])
-                lo += n
-            sequences[lang] = rows
+            ends = list(itertools.accumulate(lengths, initial=0))
+            sequences[lang] = [side[lo:hi] for lo, hi in zip(ends, ends[1:])]
         expect_end(fh, path)
     return ParallelCorpus(languages=languages, sequences=sequences, provenance=provenance)
 

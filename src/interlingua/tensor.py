@@ -695,7 +695,7 @@ def straight_through(x, values) -> Tensor:
     return _make(va.copy(), (x, lambda g: g))
 
 
-def backward(loss: Tensor) -> Gradients:
+def backward(loss: Tensor, out: np.ndarray | None = None) -> Gradients:
     """Reverse sweep from a scalar loss; returns gradients for the whole tape.
 
     Visits each recorded node exactly once in reverse execution order and
@@ -711,18 +711,23 @@ def backward(loss: Tensor) -> Gradients:
     ``g`` in place. The leaves' gradients are written into one flat
     buffer, a leaf's first contribution copied into its range and later
     ones added in place, which keeps the arrays handed out by
-    ``Gradients`` private and writable.
+    ``Gradients`` private and writable. ``out``, a flat float64 array of
+    the leaves' total size, receives them in place of a new buffer.
     """
     if not isinstance(loss, Tensor) or loss.array.ndim != 0:
         raise ContractError("backward needs a 0-d scalar tensor")
     if loss.tape is None or loss.node is None:
         raise TapeError("loss is not attached to a gradient tape")
     tape = loss.tape
-    flat = np.empty(sum(t.array.size for t in tape._watched))
+    size = sum(t.array.size for t in tape._watched)
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (size,) or out.dtype != np.float64:
+        raise ShapeError(f"gradient buffer must be float64 of shape ({size},), got {out.dtype} {out.shape}")
     slots = {}
     lo = 0
     for t in tape._watched:
-        slots[t.node] = flat[lo : lo + t.array.size].reshape(t.shape)
+        slots[t.node] = out[lo : lo + t.array.size].reshape(t.shape)
         lo += t.array.size
     values: list = [None] * len(tape)
     values[loss.node] = np.ones((), dtype=np.float64)
@@ -748,4 +753,4 @@ def backward(loss: Tensor) -> Gradients:
         if values[node] is None:
             slot.fill(0.0)
             values[node] = slot
-    return Gradients(tape, values, flat)
+    return Gradients(tape, values, out)

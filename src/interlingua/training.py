@@ -347,7 +347,12 @@ def train_step(
                 f"loss became non-finite at step {state.step + 1}: {components}",
                 components=components,
             )
-        grads = backward(loss)
+        # the gradients land in the buffer kept with the moments, one
+        # allocation per run: freeing a block that large every step raises
+        # glibc's mmap threshold, and the heap then keeps tens of MB of
+        # freed arrays resident (train-wide peak RSS +50 MB)
+        _, buffers = _adam_layout(state, params, names)
+        grads = backward(loss, out=buffers[0])
         state.step += 1
         _adam_update(state, params, names, grads, cfg)
     finally:
@@ -363,7 +368,7 @@ def _adam_update(state, params, names, grads, cfg: TrainConfig):
     """One Adam step over every trained parameter, chunk by chunk.
 
     ``grads`` must come from a tape that watched exactly ``names``, in
-    that order, so ``grads.flat`` and the moment buffer share one layout.
+    that order, so ``grads.flat`` and the moments share one layout.
     Each chunk evaluates the per-array update ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g^2``, ``p -= lr (m / bias1) / (sqrt(v / bias2)
     + eps)`` operation by operation, so the result is the same bits.
@@ -372,13 +377,13 @@ def _adam_update(state, params, names, grads, cfg: TrainConfig):
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    runs, moments = _adam_layout(state, params, names)
+    runs, buffers = _adam_layout(state, params, names)
     scratch = np.empty((2, ADAM_CHUNK))
     for flat_p, lo, hi in runs:
         for start in range(lo, hi, ADAM_CHUNK):
             stop = min(start + ADAM_CHUNK, hi)
             p = flat_p[start - lo : stop - lo]
-            g, m, v = grads.flat[start:stop], moments[0, start:stop], moments[1, start:stop]
+            g, m, v = grads.flat[start:stop], buffers[1, start:stop], buffers[2, start:stop]
             a, b = scratch[:, : stop - start]
             m *= b1
             np.multiply(1.0 - b1, g, out=a)
@@ -398,8 +403,8 @@ def _adam_update(state, params, names, grads, cfg: TrainConfig):
 
 def _adam_layout(state, params, names):
     """The runs of trained parameters that are adjacent in one buffer, as
-    (flat view of the run, start, end in the gradient layout), and the
-    [2, n] moment buffer in that layout.
+    (flat view of the run, start, end in the gradient layout), and one
+    [3, n] buffer in that layout: gradients, first and second moments.
 
     Built once for a set of trained tensors and kept on the state. The
     build copies any moments the state already holds (from earlier steps
@@ -408,12 +413,12 @@ def _adam_layout(state, params, names):
     tensors = [params[n] for n in names]
     if state._adam is not None and state._adam[0] == tensors:
         return state._adam[1:]
-    moments = np.zeros((2, sum(t.array.size for t in tensors)))
+    buffers = np.zeros((3, sum(t.array.size for t in tensors)))
     runs = []
     lo = 0
     for n, t in zip(names, tensors):
         hi = lo + t.array.size
-        m, v = moments[0, lo:hi].reshape(t.shape), moments[1, lo:hi].reshape(t.shape)
+        m, v = buffers[1, lo:hi].reshape(t.shape), buffers[2, lo:hi].reshape(t.shape)
         if n in state.moments:
             m[...], v[...] = state.moments[n]
         state.moments[n] = (m, v)
@@ -423,8 +428,8 @@ def _adam_layout(state, params, names):
         else:
             runs[-1] = (joined, runs[-1][1], hi)
         lo = hi
-    state._adam = (tensors, runs, moments)
-    return runs, moments
+    state._adam = (tensors, runs, buffers)
+    return runs, buffers
 
 
 def _joined(run: np.ndarray, a: np.ndarray) -> np.ndarray | None:

@@ -195,6 +195,12 @@ class TestTapeMechanics:
         # one flat buffer holds the leaves' gradients in watch order
         np.testing.assert_array_equal(grads.flat, [2.0, 0.0, 0.0])
         assert np.shares_memory(grads[x], grads.flat) and np.shares_memory(grads[y], grads.flat)
+        # or a caller's buffer, every entry overwritten
+        out = np.full(3, np.nan)
+        assert T.backward(T.reduce_sum(x * 2.0), out=out).flat is out
+        np.testing.assert_array_equal(out, [2.0, 0.0, 0.0])
+        with pytest.raises(ShapeError):
+            T.backward(T.reduce_sum(x * 2.0), out=np.zeros(2))
 
     def test_unwatched_tensor_lookup_raises(self):
         tape = T.GradTape()
