@@ -711,8 +711,9 @@ def backward(loss: Tensor, out: np.ndarray | None = None) -> Gradients:
     ``g`` in place. The leaves' gradients are written into one flat
     buffer, a leaf's first contribution copied into its range and later
     ones added in place, which keeps the arrays handed out by
-    ``Gradients`` private and writable. ``out``, a flat float64 array of
-    the leaves' total size, receives them in place of a new buffer.
+    ``Gradients`` private and writable. ``out``, a contiguous flat
+    float64 array of the leaves' total size, receives them in place of a
+    new buffer.
     """
     if not isinstance(loss, Tensor) or loss.array.ndim != 0:
         raise ContractError("backward needs a 0-d scalar tensor")
@@ -722,8 +723,8 @@ def backward(loss: Tensor, out: np.ndarray | None = None) -> Gradients:
     size = sum(t.array.size for t in tape._watched)
     if out is None:
         out = np.empty(size)
-    elif out.shape != (size,) or out.dtype != np.float64:
-        raise ShapeError(f"gradient buffer must be float64 of shape ({size},), got {out.dtype} {out.shape}")
+    elif out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ShapeError(f"gradient buffer must be contiguous float64 of shape ({size},), got {out.dtype} {out.shape}")
     slots = {}
     lo = 0
     for t in tape._watched:

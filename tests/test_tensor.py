@@ -199,8 +199,9 @@ class TestTapeMechanics:
         out = np.full(3, np.nan)
         assert T.backward(T.reduce_sum(x * 2.0), out=out).flat is out
         np.testing.assert_array_equal(out, [2.0, 0.0, 0.0])
-        with pytest.raises(ShapeError):
-            T.backward(T.reduce_sum(x * 2.0), out=np.zeros(2))
+        for wrong in (np.zeros(2), np.zeros(6)[::2]):
+            with pytest.raises(ShapeError):
+                T.backward(T.reduce_sum(x * 2.0), out=wrong)
 
     def test_unwatched_tensor_lookup_raises(self):
         tape = T.GradTape()
