@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import os
 import socket
@@ -115,7 +116,10 @@ def read_config(path: str | None, overrides: list[str]) -> tuple[configparser.Co
         file = Path(path)
         if not file.is_file():
             raise ConfigError(f"config file not found: {path}")
-        cp.read(file, encoding="utf-8")
+        try:
+            cp.read(file, encoding="utf-8")
+        except configparser.Error as err:
+            raise ConfigError(" ".join(str(err).split())) from None
         base = file.resolve().parent
     for section in cp.sections():
         if section not in DEFAULTS:
@@ -205,36 +209,36 @@ def echo_config(cp: configparser.ConfigParser, base: Path, out: Path):
         echo.write(fh)
 
 
-def model_config_from(cp, vocab_sizes: dict[str, int]) -> ModelConfig:
-    d_ff = cp["model"]["d_ff"].strip()
-    return ModelConfig(
-        num_blocks=cp["model"].getint("num_blocks"),
-        num_heads=cp["model"].getint("num_heads"),
-        d_model=cp["model"].getint("d_model"),
-        d_ff=int(d_ff) if d_ff else None,
-        vocab_size=max(vocab_sizes.values()),
-        max_len=cp["model"].getint("max_len"),
-        dropout=cp["model"].getfloat("dropout"),
-    )
+def setting(cp, section: str, key: str, kind: type):
+    """One typed config value: ``int``, ``float``, ``bool``, ``str``, or
+    ``tuple`` for a comma-separated list of floats. A malformed value is
+    one config error that names ``section.key``."""
+    value = cp[section][key]
+    try:
+        if kind is bool:
+            return cp[section].getboolean(key)
+        if kind is tuple:
+            return tuple(float(w) for w in value.split(","))
+        return kind(value)
+    except ValueError as err:
+        raise ConfigError(f"{section}.{key}: {err}") from None
 
 
-def train_config_from(cp) -> TrainConfig:
-    weights = tuple(float(w) for w in cp["train"]["loss_weights"].split(","))
-    return TrainConfig(
-        learning_rate=cp["train"].getfloat("learning_rate"),
-        beta1=cp["train"].getfloat("beta1"),
-        beta2=cp["train"].getfloat("beta2"),
-        adam_eps=cp["train"].getfloat("adam_eps"),
-        batch_size=cp["train"].getint("batch_size"),
-        max_steps=cp["train"].getint("max_steps"),
-        distance_mode=cp["train"]["distance_mode"],
-        quantize=cp["train"].getboolean("quantize"),
-        vq_tables=cp["train"].getint("vq_tables"),
-        vq_entries=cp["train"].getint("vq_entries"),
-        commitment_beta=cp["train"].getfloat("commitment_beta"),
-        loss_weights=weights,
-        seed=cp["train"].getint("seed"),
-    )
+def config_from(cp, section: str, cls, **given):
+    """A config dataclass read from ``section``; ``given`` fields are not read.
+
+    Each field is read as the type of its default. The one field whose
+    default is None, ``model.d_ff``, is an int when its key is not empty.
+    """
+    for field in dataclasses.fields(cls):
+        if field.name in given:
+            continue
+        if field.default is None:
+            empty = not cp[section][field.name].strip()
+            given[field.name] = None if empty else setting(cp, section, field.name, int)
+        else:
+            given[field.name] = setting(cp, section, field.name, type(field.default))
+    return cls(**given)
 
 
 class OutputLock:
@@ -324,9 +328,9 @@ def json_lines_logger(log, then=None):
 def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
     """Learn one language's BPE table and vocabulary from a text file; save both."""
     lines = text.read_text(encoding="utf-8").splitlines()
-    model = D.learn_bpe(lines, cp["data"].getint("bpe_merges"))
+    model = D.learn_bpe(lines, setting(cp, "data", "bpe_merges", int))
     vocab = D.build_vocabulary(
-        [D.apply_bpe(model, l) for l in lines], cp["data"].getint("vocab_cap")
+        [D.apply_bpe(model, l) for l in lines], setting(cp, "data", "vocab_cap", int)
     )
     D.save_bpe(model, bpe_path(out, lang))
     vocab.save(vocab_path(out, lang))
@@ -347,8 +351,8 @@ def load_corpus(cp, out: Path, split: str) -> D.ParallelCorpus:
     hint = "configure data.test_x/test_y and run prepare" if split == "test" else "run prepare first"
     corpus = D.read_corpus(require_file(corpus_path(out, split), hint))
     pair = language_pair(cp)
-    if set(corpus.languages) != set(pair):
-        raise ConfigError(f"prepared corpus pairs {corpus.languages}, config names {pair}")
+    if corpus.languages != pair:
+        raise ConfigError(f"prepared corpus pairs {corpus.languages}, config names {pair}; run prepare")
     return corpus
 
 
@@ -378,18 +382,9 @@ def cmd_prepare(args) -> int:
     lang_x, lang_y = language_pair(cp)
     if lang_x == lang_y:
         raise ConfigError(f"lang_x and lang_y must differ, both are {lang_x!r}")
-    max_words = cp["data"].getint("max_words")
+    settings = {key: setting(cp, "data", key, int) for key in ("bpe_merges", "vocab_cap", "max_words")}
     # the longest id sequence, eos included, that the model will accept
-    max_len = cp["model"].getint("max_len")
-
-    settings = {
-        "bpe_merges": cp["data"].getint("bpe_merges"),
-        "vocab_cap": cp["data"].getint("vocab_cap"),
-        "max_words": max_words,
-        "max_len": max_len,
-        "lang_x": lang_x,
-        "lang_y": lang_y,
-    }
+    settings.update(max_len=setting(cp, "model", "max_len", int), lang_x=lang_x, lang_y=lang_y)
     inputs = {
         "train_x": D.file_sha256(train_x),
         "train_y": D.file_sha256(train_y),
@@ -417,9 +412,9 @@ def cmd_prepare(args) -> int:
     def build_split(split: str, px, py):
         corpus = D.load_parallel(
             px, py, vocabs[lang_x], vocabs[lang_y],
-            max_words=max_words,
+            max_words=settings["max_words"],
             bpe_x=models[lang_x], bpe_y=models[lang_y],
-            lang_x=lang_x, lang_y=lang_y, max_len=max_len,
+            lang_x=lang_x, lang_y=lang_y, max_len=settings["max_len"],
         )
         D.save_corpus(corpus, corpus_path(out, split))
         prov = corpus.provenance
@@ -443,12 +438,12 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     cp, base, out = preamble(args)
-    train_cfg = train_config_from(cp)
+    train_cfg = config_from(cp, "train", TrainConfig)
+    checkpoint_every = setting(cp, "train", "checkpoint_every", int)
     vocabs = load_vocabs(out, language_pair(cp))
     corpus = load_corpus(cp, out, "train")
     hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
     final = out / FINAL_CHECKPOINT
-    checkpoint_every = cp["train"].getint("checkpoint_every")
 
     with OutputLock(out):
         if args.resume:
@@ -467,7 +462,7 @@ def cmd_train(args) -> int:
                 )
             sizes = {lang: len(v) for lang, v in vocabs.items()}
             system = build_system(
-                model_config_from(cp, sizes),
+                config_from(cp, "model", ModelConfig, vocab_size=max(sizes.values())),
                 sizes,
                 seed=train_cfg.seed,
                 quantize_latent=train_cfg.quantize,
@@ -505,9 +500,10 @@ def cmd_add_language(args) -> int:
     anchor_lang = cp["extend"]["anchor_lang"].strip() or cp["data"]["lang_x"]
     train_anchor = configured_file(base, cp, "extend", "train_anchor")
     train_new = configured_file(base, cp, "extend", "train_new")
-    finetune_all = cp["extend"].getboolean("finetune_all")
+    finetune_all = setting(cp, "extend", "finetune_all", bool)
+    warm_start = setting(cp, "extend", "warm_start", bool)
 
-    train_cfg = train_config_from(cp)
+    train_cfg = config_from(cp, "train", TrainConfig)
     with OutputLock(out):
         system, _ = load_system(args, out, language_pair(cp))
         if anchor_lang not in system.modules:
@@ -518,7 +514,7 @@ def cmd_add_language(args) -> int:
         bpe_new, vocab_new = learn_side(cp, train_new, out, new_lang)
         corpus = D.load_parallel(
             train_anchor, train_new, load_vocabs(out, [anchor_lang])[anchor_lang], vocab_new,
-            max_words=cp["data"].getint("max_words"),
+            max_words=setting(cp, "data", "max_words", int),
             bpe_x=D.load_bpe(bpe_path(out, anchor_lang)), bpe_y=bpe_new,
             lang_x=anchor_lang, lang_y=new_lang, max_len=system.config.max_len,
         )
@@ -535,7 +531,7 @@ def cmd_add_language(args) -> int:
                 train_cfg,
                 log_fn=json_lines_logger(log),
                 finetune_all=finetune_all,
-                warm_start=cp["extend"].getboolean("warm_start"),
+                warm_start=warm_start,
             )
         system.vocab_hashes[new_lang] = vocab_new.content_hash()
         target = out / EXTENDED_CHECKPOINT
@@ -596,9 +592,7 @@ def cmd_interlingua_eval(args) -> int:
     system, vocabs = load_system(args, out, language_pair(cp))
     corpus = load_corpus(cp, out, args.split)
 
-    reports = [
-        interlingua_eval(system, decoder, corpus, vocabs) for decoder in language_pair(cp)
-    ]
+    reports = interlingua_eval(system, corpus, vocabs)
     path = out / f"interlingua-report-{args.split}.json"
     write_json(path, [report_record(r) for r in reports])
     print(format_table(reports))
@@ -609,7 +603,7 @@ def cmd_interlingua_eval(args) -> int:
 def cmd_viz(args) -> int:
     cp, base, out = preamble(args)
     system, _ = load_system(args, out, language_pair(cp))
-    seed = cp["train"].getint("seed")
+    seed = setting(cp, "train", "seed", int)
 
     for split in args.split or ["train"]:
         dump = export_embeddings(system, load_corpus(cp, out, split))

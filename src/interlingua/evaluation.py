@@ -1,11 +1,12 @@
 """Corpus BLEU and the encoder-interchange evaluation.
 
 The interchange check asks how language-neutral the shared latent space
-is: one decoder greedy-decodes the parallel text from its own language's
-encoding and from the partner language's, in one pass over both
-encodings stacked on the batch axis. Both outputs are scored against the
-reference, and against each other, so the gap between the two measures
-how far apart the two encodings really are.
+is: each side of the parallel text is encoded once, and each decoder
+greedy-decodes from its own language's encoding and from the partner
+language's, in one pass over both encodings stacked on the batch axis.
+Both outputs are scored against the reference, and against each other,
+so the gap between the two measures how far apart the two encodings
+really are.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import tensor as T
 from .data import ParallelCorpus, Vocabulary, detokenize, reverse_bpe
 from .exceptions import CompatibilityError, ConfigError, ContractError
 from .latent import quantize, stack_latents
-from .training import System, make_batch
+from .training import System, _pad_rows
 from .transformer import encode, greedy_decode, pad_mask
 
 MAX_ORDER = 4
@@ -128,77 +129,59 @@ def _encode_for_decoding(system: System, lang: str, tokens):
     return h, pad_mask(tokens)
 
 
-def _greedy(system: System, decoder_lang: str, side, max_steps: int | None) -> list[list[int]]:
+def _greedy(system: System, decoder_lang: str, side) -> list[list[int]]:
     """Greedy-decode one (packed rows, mask) side through ``decoder_lang``."""
     rows, mask = side
-    steps = max_steps if max_steps is not None else system.config.max_len
-    return greedy_decode(system.modules[decoder_lang], T.unpack(rows, mask), mask, steps)
+    return greedy_decode(system.modules[decoder_lang], T.unpack(rows, mask), mask, system.config.max_len)
 
 
 def decode_corpus_side(
-    system: System,
-    decoder_lang: str,
-    encoder_lang: str,
-    tokens,
-    vocab: Vocabulary,
-    max_steps: int | None = None,
+    system: System, decoder_lang: str, encoder_lang: str, tokens, vocab: Vocabulary
 ) -> list[list[str]]:
     """Greedy-decode padded token rows through one encoder/decoder pairing."""
-    decoded = _greedy(system, decoder_lang, _encode_for_decoding(system, encoder_lang, tokens), max_steps)
+    decoded = _greedy(system, decoder_lang, _encode_for_decoding(system, encoder_lang, tokens))
     return [vocab.decode(ids) for ids in decoded]
 
 
 def interlingua_eval(
-    system: System,
-    decoder_lang: str,
-    corpus: ParallelCorpus,
-    vocabs: dict[str, Vocabulary],
-    max_steps: int | None = None,
-) -> InterlinguaReport:
-    """Score one decoder driven by both sides' encodings of a parallel set.
+    system: System, corpus: ParallelCorpus, vocabs: dict[str, Vocabulary]
+) -> list[InterlinguaReport]:
+    """Score both decoders of a parallel set, each driven by both sides' encodings.
 
-    The decoder runs once, over its own language's encoding stacked with
-    the partner's; row for row its output equals two separate
-    ``decode_corpus_side`` calls. The references are never consulted
-    during decoding; they only enter the scoring stage afterwards.
+    Each side is encoded once. Each decoder then runs once, over its own
+    language's encoding stacked with the partner's; row for row its
+    output equals two separate ``decode_corpus_side`` calls. The
+    references are never consulted during decoding; they only enter the
+    scoring stage afterwards. The reports come in ``corpus.languages``
+    order.
     """
-    if decoder_lang not in system.modules:
-        raise ConfigError(
-            f"decoder language {decoder_lang!r} not in system {system.languages}"
-        )
-    if decoder_lang not in corpus.languages:
-        raise ConfigError(
-            f"decoder language {decoder_lang!r} not in corpus pair {corpus.languages}"
-        )
-    other = corpus.languages[1] if corpus.languages[0] == decoder_lang else corpus.languages[0]
-    if other not in system.modules:
-        raise CompatibilityError(
-            f"encoder language {other!r} not in system {system.languages}"
-        )
+    for lang in corpus.languages:
+        if lang not in system.modules:
+            raise CompatibilityError(f"corpus language {lang!r} not in system {system.languages}")
+        if lang not in vocabs:
+            raise ConfigError(f"no vocabulary supplied for {lang!r}")
     if len(corpus) == 0:
         raise ContractError("cannot evaluate on an empty corpus")
-    if decoder_lang not in vocabs:
-        raise ConfigError(f"no vocabulary supplied for {decoder_lang!r}")
 
-    batch = make_batch(corpus, range(len(corpus)))
-    by_lang = {batch.lang_x: batch.x, batch.lang_y: batch.y}
-    vocab = vocabs[decoder_lang]
-
-    stacked = stack_latents(
-        _encode_for_decoding(system, decoder_lang, by_lang[decoder_lang]),
-        _encode_for_decoding(system, other, by_lang[other]),
-    )
-    decoded = [vocab.decode(ids) for ids in _greedy(system, decoder_lang, stacked, max_steps)]
-    auto, translated = decoded[: len(corpus)], decoded[len(corpus) :]
-    refs = [vocab.decode(row) for row in corpus.sequences[decoder_lang]]
-
-    return InterlinguaReport(
-        decoder_lang=decoder_lang,
-        encoder_lang=other,
-        bleu_autoencoder=bleu(auto, refs),
-        bleu_translation=bleu(translated, refs),
-        bleu_agreement=bleu(translated, auto),
-    )
+    sides = {
+        lang: _encode_for_decoding(system, lang, _pad_rows(corpus.sequences[lang]))
+        for lang in corpus.languages
+    }
+    reports = []
+    for decoder_lang, other in (corpus.languages, corpus.languages[::-1]):
+        vocab = vocabs[decoder_lang]
+        stacked = stack_latents(sides[decoder_lang], sides[other])
+        decoded = [vocab.decode(ids) for ids in _greedy(system, decoder_lang, stacked)]
+        auto, translated = decoded[: len(corpus)], decoded[len(corpus) :]
+        refs = [vocab.decode(row) for row in corpus.sequences[decoder_lang]]
+        reports.append(InterlinguaReport(
+            decoder_lang=decoder_lang,
+            encoder_lang=other,
+            bleu_autoencoder=bleu(auto, refs),
+            bleu_translation=bleu(translated, refs),
+            bleu_agreement=bleu(translated, auto),
+        ))
+    return reports
 
 
 def bleu_record(report: BleuReport, tag: str = "") -> dict:

@@ -429,11 +429,11 @@ def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     return _make(out, (x, dx), (gain, dgain), (bias, dbias))
 
 
-def cross_entropy(logits, targets, pad_id: int = 0, rows: slice | None = None) -> Tensor:
+def cross_entropy(logits, targets, rows: slice | None = None) -> Tensor:
     """Mean negative log-likelihood over non-pad target positions.
 
     ``logits`` has one trailing vocabulary axis beyond the target shape.
-    Positions whose target equals ``pad_id`` contribute neither to the sum
+    Positions whose target is the pad id 0 contribute neither to the sum
     nor to the averaging count. With ``rows``, only that range of the
     first axis of ``logits`` is scored against ``targets``; the other
     rows get zero gradient.
@@ -448,7 +448,7 @@ def cross_entropy(logits, targets, pad_id: int = 0, rows: slice | None = None) -
     vocab = la.shape[-1]
     if t.min() < 0 or t.max() >= vocab:
         raise ContractError(f"target ids must lie in [0, {vocab}), got [{t.min()}, {t.max()}]")
-    mask = t != pad_id
+    mask = t != 0
     count = int(mask.sum())
     if count == 0:
         raise DegenerateBatchError("every target position is padding")

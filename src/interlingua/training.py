@@ -529,7 +529,6 @@ def save_checkpoint(
     system: System,
     state: TrainState,
     path,
-    vocab_hashes: dict[str, str] | None = None,
     train_config: TrainConfig | None = None,
 ):
     """Deterministic binary: magic, version, json header, little-endian f8 blobs.
@@ -549,7 +548,7 @@ def save_checkpoint(
         "train_config": asdict(train_config) if train_config else None,
         "languages": list(system.languages),
         "vocab_sizes": {lang: m.vocab_size for lang, m in system.modules.items()},
-        "vocab_hashes": vocab_hashes if vocab_hashes is not None else system.vocab_hashes,
+        "vocab_hashes": system.vocab_hashes,
         "quantizer": None
         if system.codebook is None
         else {"n_tables": system.codebook.n_tables, "entries": system.codebook.entries},

@@ -496,8 +496,9 @@ def test_05_overfit_end_to_end(assets, overfit):
     assert last["corr_distance"] < first["corr_distance"]
 
     autos = {}
+    reports = {r.decoder_lang: r for r in interlingua_eval(system, assets.corpus_xy, assets.vocabs)}
     for decoder in ("x", "y"):
-        report = interlingua_eval(system, decoder, assets.corpus_xy, assets.vocabs)
+        report = reports[decoder]
         autos[decoder] = report.bleu_autoencoder.score
         assert report.bleu_autoencoder.score >= 90.0, (
             f"{decoder} autoencoding scored {report.bleu_autoencoder.score:.2f}"

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line workflow on the bundled toy task."""
 
 import configparser
+import dataclasses
 import json
 import os
 import shutil
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from interlingua import toy
-from interlingua.cli import main
-from interlingua.training import load_checkpoint
+from interlingua.cli import DEFAULTS, config_from, main
+from interlingua.training import TrainConfig, load_checkpoint
+from interlingua.transformer import ModelConfig
 
 CONFIG_TEMPLATE = """\
 [data]
@@ -81,6 +83,14 @@ def trained_project(tmp_path_factory):
     config = make_project(root)
     assert main(["prepare", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config)]) == 0
+    return config
+
+
+@pytest.fixture(scope="module")
+def prepared_project(tmp_path_factory):
+    """One prepared run, never trained, for commands that must fail early."""
+    config = make_project(tmp_path_factory.mktemp("prepared"))
+    assert main(["prepare", "--config", str(config)]) == 0
     return config
 
 
@@ -179,6 +189,57 @@ class TestPrepare:
         code, _, err = run(capsys, "prepare", "--config", str(tmp_path / "none.ini"))
         assert code == 1
         assert err.startswith("error: config:")
+
+
+MALFORMED = [
+    pytest.param("train", "model.num_blocks=abc", None, id="model.num_blocks"),
+    pytest.param("train", "model.d_ff=wide", None, id="model.d_ff"),
+    pytest.param("train", "model.dropout=high", None, id="model.dropout"),
+    pytest.param("train", "train.learning_rate=fast", None, id="train.learning_rate"),
+    pytest.param("train", "train.quantize=maybe", None, id="train.quantize"),
+    pytest.param("train", "train.loss_weights=1,a,1,1,1", None, id="train.loss_weights"),
+    pytest.param("train", "train.checkpoint_every=often", None, id="train.checkpoint_every"),
+    pytest.param("prepare", "data.max_words=many", None, id="data.max_words"),
+    pytest.param("add-language", "extend.warm_start=perhaps", None, id="extend.warm_start"),
+    pytest.param("prepare", None, "max_words = 5\n[data]\n", id="ini-no-section-header"),
+    pytest.param("prepare", None, "[data]\nmax_words = 5\nmax_words = 6\n", id="ini-duplicate-key"),
+    pytest.param("prepare", None, "[data]\nfoo\n", id="ini-bare-line"),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command, override, ini", MALFORMED)
+    def test_malformed_value_or_file_is_one_config_error(
+        self, prepared_project, tmp_path, capsys, command, override, ini
+    ):
+        if ini is None:
+            config, named, extra = prepared_project, override.split("=")[0], ["--set", override]
+        else:
+            config = tmp_path / "bad.ini"
+            config.write_text(ini, encoding="utf-8")
+            named, extra = str(config), []
+        code, _, err = run(capsys, command, "--config", str(config), *extra)
+        assert code == 1
+        one_error_line(err, "config")
+        assert named in err and "Traceback" not in err
+
+    def test_defaults_match_the_config_dataclasses(self):
+        cp = configparser.ConfigParser()
+        cp.read_dict(DEFAULTS)
+        assert config_from(cp, "train", TrainConfig) == TrainConfig()
+        assert config_from(cp, "model", ModelConfig, vocab_size=77) == ModelConfig(vocab_size=77)
+        for section, cls in (("train", TrainConfig), ("model", ModelConfig)):
+            names = {f.name for f in dataclasses.fields(cls)} - {"vocab_size"}
+            assert names <= set(DEFAULTS[section]), section
+
+    def test_swapped_language_pair_needs_prepare(self, trained_project, capsys):
+        code, _, err = run(
+            capsys, "interlingua-eval", "--config", str(trained_project),
+            "--set", "data.lang_x=y", "--set", "data.lang_y=x",
+        )
+        assert code == 1
+        one_error_line(err, "config")
+        assert "run prepare" in err
 
 
 class TestTrain:

@@ -18,7 +18,7 @@ from interlingua.evaluation import (
     report_record,
     scoring_words,
 )
-from interlingua.exceptions import CompatibilityError, ConfigError, ContractError
+from interlingua.exceptions import CompatibilityError, ContractError
 from interlingua.training import TrainState, build_system, make_batch, train
 from oracles import reference_bleu
 
@@ -170,11 +170,17 @@ def identity_pair_setup(tmp_path):
     return system, corpus, vocab
 
 
+def report_for(decoder, system, corpus, vocabs):
+    """The report of one decoder, out of the two ``interlingua_eval`` returns."""
+    return {r.decoder_lang: r for r in interlingua_eval(system, corpus, vocabs)}[decoder]
+
+
 class TestInterlinguaEval:
     @pytest.mark.parametrize("quantized", [False, True])
     def test_equals_two_separate_decoder_passes(self, toy_corpus, monkeypatch, quantized):
-        # one stacked pass per decoder must give the words and the report of
-        # two decode_corpus_side calls, on sides of different widths
+        # one call, with one stacked pass per decoder, must give the words and
+        # the reports of two decode_corpus_side calls per decoder, on sides
+        # of different widths
         _, vocabs, _, _ = toy_corpus
         system = build_system(
             small_model_config(num_blocks=2, d_model=32, max_len=50),
@@ -193,35 +199,44 @@ class TestInterlinguaEval:
             return bleu(hyps, refs)
 
         monkeypatch.setattr(E, "bleu", recording_bleu)
-        for dec, enc in (("x", "y"), ("y", "x")):
-            scored.clear()
-            report = interlingua_eval(system, dec, corpus, vocabs)
+        reports = interlingua_eval(system, corpus, vocabs)
+        assert len(reports) == 2
+        for i, (report, (dec, enc)) in enumerate(zip(reports, (("x", "y"), ("y", "x")))):
             auto = decode_corpus_side(system, dec, dec, by_lang[dec], vocabs[dec])
             translated = decode_corpus_side(system, dec, enc, by_lang[enc], vocabs[dec])
             assert len({len(words) for words in auto + translated}) > 1  # rows stop at different steps
-            assert scored[:2] == [auto, translated]
+            assert scored[3 * i : 3 * i + 2] == [auto, translated]
             refs = [vocabs[dec].decode(row) for row in corpus.sequences[dec]]
             want = InterlinguaReport(dec, enc, bleu(auto, refs), bleu(translated, refs), bleu(translated, auto))
             assert report_json(report) == report_json(want)
 
     def test_one_greedy_pass_per_decoder(self, toy_corpus, monkeypatch):
+        # one call encodes each side once and runs each decoder once over
+        # both sides' rows
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
-        rows = []
-        original = E.greedy_decode
+        encoded, decoded = [], []
+        original_encode, original_greedy = E.encode, E.greedy_decode
 
-        def spy(module, latent, src_mask, max_steps):
-            rows.append(len(src_mask))
-            return original(module, latent, src_mask, max_steps)
+        def encode_spy(module, tokens, **kwargs):
+            encoded.append(module.language)
+            return original_encode(module, tokens, **kwargs)
 
-        monkeypatch.setattr(E, "greedy_decode", spy)
-        interlingua_eval(system, "x", corpus, vocabs)
-        assert rows == [2 * len(corpus)]
+        def greedy_spy(module, latent, src_mask, max_steps):
+            decoded.append((module.language, len(src_mask)))
+            return original_greedy(module, latent, src_mask, max_steps)
+
+        monkeypatch.setattr(E, "encode", encode_spy)
+        monkeypatch.setattr(E, "greedy_decode", greedy_spy)
+        reports = interlingua_eval(system, corpus, vocabs)
+        assert encoded == list(corpus.languages)
+        assert decoded == [(lang, 2 * len(corpus)) for lang in corpus.languages]
+        assert [r.decoder_lang for r in reports] == list(corpus.languages)
 
     def test_reports_all_three_scores(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
-        report = interlingua_eval(system, "x", corpus, vocabs)
+        report = report_for("x", system, corpus, vocabs)
         assert report.decoder_lang == "x"
         assert report.encoder_lang == "y"
         for r in (report.bleu_autoencoder, report.bleu_translation, report.bleu_agreement):
@@ -229,7 +244,7 @@ class TestInterlinguaEval:
 
     def test_identical_encodings_agree_perfectly(self, tmp_path):
         system, corpus, vocab = identity_pair_setup(tmp_path)
-        report = interlingua_eval(system, "x", corpus, {"x": vocab, "y": vocab})
+        report = report_for("x", system, corpus, {"x": vocab, "y": vocab})
         auto_words = [
             scoring_words(t)
             for t in (
@@ -242,39 +257,33 @@ class TestInterlinguaEval:
         assert report.bleu_agreement.score == 100.0
         assert report.bleu_autoencoder == report.bleu_translation
 
-    def test_decoder_language_must_be_in_system(self, toy_corpus):
-        corpus, vocabs, _, _ = toy_corpus
-        system = small_system(vocabs)
-        with pytest.raises(ConfigError):
-            interlingua_eval(system, "q", corpus, vocabs)
-
     def test_partner_language_must_be_in_system(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = build_system(small_model_config(), {"x": len(vocabs["x"])})
         with pytest.raises(CompatibilityError):
-            interlingua_eval(system, "x", corpus, vocabs)
+            interlingua_eval(system, corpus, vocabs)
 
     def test_empty_corpus_rejected(self, toy_corpus):
         _, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
         empty = D.ParallelCorpus(languages=("x", "y"), sequences={"x": [], "y": []})
         with pytest.raises(ContractError):
-            interlingua_eval(system, "x", empty, vocabs)
+            interlingua_eval(system, empty, vocabs)
 
     def test_evaluation_is_deterministic(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
-        a = interlingua_eval(system, "y", corpus, vocabs)
-        b = interlingua_eval(system, "y", corpus, vocabs)
+        a = report_for("y", system, corpus, vocabs)
+        b = report_for("y", system, corpus, vocabs)
         assert a == b
 
     def test_trained_system_reconstructs_better_than_random(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
-        before = interlingua_eval(system, "x", corpus, vocabs)
+        before = report_for("x", system, corpus, vocabs)
         cfg = fast_train_config(learning_rate=5e-3, max_steps=30)
         train(system, TrainState(), corpus, cfg)
-        after = interlingua_eval(system, "x", corpus, vocabs)
+        after = report_for("x", system, corpus, vocabs)
         assert after.bleu_autoencoder.score >= before.bleu_autoencoder.score
 
 
@@ -282,17 +291,17 @@ class TestReportOutput:
     def test_record_has_three_score_fields(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
-        record = report_record(interlingua_eval(system, "x", corpus, vocabs))
+        record = report_record(report_for("x", system, corpus, vocabs))
         for key in ("autoencoder_bleu", "translation_bleu", "agreement_bleu"):
             assert key in record
         assert record["decoder"] == "x"
-        parsed = json.loads(report_json(interlingua_eval(system, "x", corpus, vocabs)))
+        parsed = json.loads(report_json(report_for("x", system, corpus, vocabs)))
         assert parsed == record
 
     def test_table_lists_each_decoder(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
-        reports = [interlingua_eval(system, lang, corpus, vocabs) for lang in ("x", "y")]
+        reports = interlingua_eval(system, corpus, vocabs)
         table = format_table(reports)
         assert "decoder" in table
         assert "\nx " in "\n" + table

@@ -496,8 +496,9 @@ class TestCheckpoint:
         cfg = fast_train_config(max_steps=3)
         state = train(system, TrainState(), corpus, cfg)
         hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
+        system.vocab_hashes = hashes
         path = tmp_path / "model.ckpt"
-        save_checkpoint(system, state, path, vocab_hashes=hashes, train_config=cfg)
+        save_checkpoint(system, state, path, train_config=cfg)
 
         loaded, loaded_state, loaded_cfg = load_checkpoint(path, expected_vocab_hashes=hashes)
         assert loaded.parameter_hash() == system.parameter_hash()
@@ -513,10 +514,10 @@ class TestCheckpoint:
         system = small_system(vocabs)
         cfg = fast_train_config(max_steps=2)
         state = train(system, TrainState(), corpus, cfg)
-        hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
+        system.vocab_hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
-        save_checkpoint(system, state, first, vocab_hashes=hashes, train_config=cfg)
+        save_checkpoint(system, state, first, train_config=cfg)
         loaded, loaded_state, loaded_cfg = load_checkpoint(first)
         save_checkpoint(loaded, loaded_state, second, train_config=loaded_cfg)
         assert first.read_bytes() == second.read_bytes()
@@ -525,8 +526,9 @@ class TestCheckpoint:
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
         hashes = {lang: v.content_hash() for lang, v in vocabs.items()}
+        system.vocab_hashes = hashes
         path = tmp_path / "model.ckpt"
-        save_checkpoint(system, TrainState(), path, vocab_hashes=hashes)
+        save_checkpoint(system, TrainState(), path)
         wrong = dict(hashes, x="0" * 64)
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expected_vocab_hashes=wrong)
