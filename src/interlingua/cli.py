@@ -109,7 +109,8 @@ def read_config(path: str | None, overrides: list[str]) -> tuple[configparser.Co
     against (the config file's directory, or the working directory when
     no file was given).
     """
-    cp = configparser.ConfigParser()
+    # no interpolation: a % in a value is a literal character
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(DEFAULTS)
     base = Path.cwd()
     if path is not None:
@@ -191,7 +192,7 @@ def language_pair(cp) -> tuple[str, str]:
 
 def echo_config(cp: configparser.ConfigParser, base: Path, out: Path):
     """Write the fully-resolved configuration next to the artifacts."""
-    echo = configparser.ConfigParser()
+    echo = configparser.ConfigParser(interpolation=None)
     echo.read_dict({s: dict(cp[s]) for s in cp.sections()})
     for section, key in (
         ("data", "train_x"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -349,7 +350,7 @@ def read_array(fh, dtype: str, shape, path) -> np.ndarray:
     if not isinstance(shape, (list, tuple)) or not all(isinstance(n, int) and n >= 0 for n in shape):
         raise CheckpointError(f"damaged header in {path}: bad array shape {shape!r}")
     dtype = np.dtype(dtype)
-    size = dtype.itemsize * int(np.prod(shape))
+    size = dtype.itemsize * math.prod(shape)
     buf = fh.read(size)
     if len(buf) != size:
         raise CheckpointError(f"truncated file: {path}")

@@ -62,7 +62,7 @@ def scoring_words(tokens) -> list[str]:
 
 
 def _ngrams(words: list[str], n: int) -> Counter:
-    return Counter(tuple(words[i : i + n]) for i in range(len(words) - n + 1))
+    return Counter(zip(*(words[i:] for i in range(n))))
 
 
 def bleu(hypotheses, references) -> BleuReport:

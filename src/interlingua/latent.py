@@ -125,6 +125,10 @@ class Codebook:
     def d_model(self) -> int:
         return self.n_tables * self.sub_dim
 
+    def __deepcopy__(self, memo):
+        # rebuilt so the copy's tables are views of one buffer too
+        return init_codebook(self.n_tables, self.entries, self.d_model, tables=(t.array for t in self.tables))
+
 
 def init_codebook(n_tables: int, entries: int, d_model: int, seed: int = 0, tables=None) -> Codebook:
     """A seeded random codebook, or one holding copies of the given

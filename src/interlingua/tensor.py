@@ -12,6 +12,8 @@ op; they are treated as constants and receive no gradient.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import ContractError, DegenerateBatchError, ShapeError, TapeError
@@ -134,7 +136,7 @@ def tensors_in_one_buffer(shapes, values) -> list[Tensor]:
 
     The views are the storage: write them in place, never rebind them.
     """
-    sizes = [int(np.prod(shape)) for shape in shapes]
+    sizes = [math.prod(shape) for shape in shapes]
     buffer = np.empty(sum(sizes))
     out = []
     lo = 0
@@ -399,18 +401,25 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(s, (a, fn))
 
 
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """``layer_norm``'s forward on plain arrays, unchecked: the output,
+    the normalized input and the inverse standard deviation."""
+    d = x.shape[-1]
+    # sum / d is what mean() computes, without its per-call Python overhead
+    xc = x - x.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then scale and shift."""
     xa, ga, ba = _as_array(x), _as_array(gain), _as_array(bias)
     d = xa.shape[-1]
     if ga.shape != (d,) or ba.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {ga.shape} and {ba.shape}")
-    # sum / d is what mean() computes, without its per-call Python overhead
-    xc = xa - xa.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * ga + ba
+    out, xhat, inv = layer_norm_forward(xa, ga, ba, eps)
 
     def dx(g):
         gx = g * ga
@@ -560,24 +569,21 @@ def _rows(heads: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return heads.transpose(0, 2, 1, 3)[mask].reshape(-1, h * dh)
 
 
-def attend(q: np.ndarray, q_mask: np.ndarray, k: np.ndarray, v: np.ndarray, bias, num_heads: int):
-    """Multi-head scaled dot-product attention of packed queries; forward only.
-
-    ``q`` [N, d] holds the projected queries of the True entries of the
-    [B, Tq] ``q_mask``, in row-major order; ``k`` and ``v`` are projected
-    keys and values split into heads [B, h, Tk, d / h]. ``bias`` (or None)
-    is added to the scaled scores and broadcasts to [B, h, Tq, Tk].
-    Returns the context rows [N, d] and the softmax weights.
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias):
+    """Scaled dot-product attention of queries, keys and values split
+    into heads, ``q`` [B, h, Tq, dh] over ``k`` and ``v`` [B, h, Tk, dh];
+    forward only. ``bias`` (or None) is added to the scaled scores and
+    broadcasts to [B, h, Tq, Tk]. Returns the context heads [B, h, Tq, dh]
+    and the softmax weights.
     """
-    qh = _heads(q, q_mask, num_heads)
-    weights = qh @ k.swapaxes(-1, -2)
-    weights *= qh.shape[-1] ** -0.5
+    weights = q @ k.swapaxes(-1, -2)
+    weights *= q.shape[-1] ** -0.5
     if bias is not None:
         weights += bias
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return _rows(weights @ v, q_mask), weights
+    return weights @ v, weights
 
 
 # an attention sublayer's weights, in the order ``attention`` takes them
@@ -614,8 +620,9 @@ def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Te
     if d % num_heads != 0:
         raise ShapeError(f"width {d} not divisible by {num_heads} heads")
     q, k, v = qa @ wq + bq, kva @ wk + bk, kva @ wv + bv
-    ctx, probs = attend(q, q_mask, _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads), bias, num_heads)
-    out = ctx @ wo + bo
+    qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
+    ctx, probs = attend(qh, kh, vh, bias)
+    out = _rows(ctx, q_mask) @ wo + bo
 
     fused = q_in is kv_in
     inputs = [("q", q_in)] if fused else [("q", q_in), ("kv", kv_in)]

@@ -4,12 +4,14 @@ Each language owns an encoder, a decoder and its own embeddings; nothing
 is shared between languages except the dimensionality of the encoder
 output, which is what lets any decoder consume any encoder's states.
 Blocks are pre-norm residual, attention masks are additive, and decoding
-is greedy. All math runs through the tape-based tensor core, so the same
-forward code serves training and inference.
+is greedy. Training and teacher forcing run through the tape-based
+tensor core; a greedy step runs on plain arrays, off the tape, through
+the same attention and layer-norm forward.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -122,6 +124,11 @@ class LanguageModule:
         tensors = T.tensors_in_one_buffer([shape for _, shape, _ in layout], values)
         self.params: dict[str, Tensor] = {name: t for (name, _, _), t in zip(layout, tensors)}
 
+    def __deepcopy__(self, memo):
+        # rebuilt through ``arrays`` so the copy keeps the one-buffer storage
+        config = copy.deepcopy(self.config, memo)
+        return LanguageModule(self.language, config, self.vocab_size, arrays=lambda name, _: self.params[name].array)
+
     def _layout(self) -> list[tuple[str, tuple, Callable]]:
         """(name, shape, initializer) of every parameter, in init and checkpoint order."""
         cfg = self.config
@@ -174,21 +181,6 @@ def _attention(p: dict, prefix: str, q_in, kv_in, q_mask, kv_mask, bias, num_hea
     """One attention sublayer over packed rows, recorded as a single tape node."""
     weights = [p[prefix + name] for name in T.ATTENTION_WEIGHTS]
     return T.attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads)
-
-
-def _dense(p: dict, prefix: str, x: np.ndarray, name: str) -> np.ndarray:
-    """``x @ w + b`` of one attention projection on plain arrays: ``name`` is q, k, v or o."""
-    return x @ p[prefix + "w" + name].array + p[prefix + "b" + name].array
-
-
-def _cached_attention(p: dict, prefix: str, h: Tensor, k: np.ndarray, v: np.ndarray, bias, num_heads: int):
-    """A greedy step's attention sublayer, off the tape: the single query
-    position of each row of ``h`` [B, 1, d] over projected keys and values
-    [B, Tk, d], through the same forward as the tape node."""
-    q = _dense(p, prefix, h.array[:, 0], "q")
-    one = np.ones((q.shape[0], 1), dtype=bool)
-    ctx, _ = T.attend(q, one, T.split_heads(k, num_heads), T.split_heads(v, num_heads), bias, num_heads)
-    return Tensor(_dense(p, prefix, ctx, "o")[:, None])
 
 
 def _ffn(p: dict, prefix: str, x):
@@ -267,28 +259,6 @@ def _check_latent(module: LanguageModule, latent, src_mask, packed: bool = False
     return la, src_mask
 
 
-def _decoder_logits(module: LanguageModule, x, self_attention, cross_attention, dropout_rng=None):
-    """Decoder blocks, final norm and output projection over embedded targets.
-
-    ``self_attention(i, h)`` and ``cross_attention(i, h)`` run block i's
-    attention sublayers on its normed input ``h``: one tape node each over
-    packed rows in teacher forcing, the cached forward in a greedy step.
-    """
-    cfg = module.config
-    p = module.params
-    x = _maybe_dropout(x, cfg.dropout, dropout_rng)
-    for i in range(cfg.num_blocks):
-        pre = f"dec.{i}."
-        h = _ln(p, pre + "ln1.", x)
-        x = T.add(x, _maybe_dropout(self_attention(i, h), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln2.", x)
-        x = T.add(x, _maybe_dropout(cross_attention(i, h), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln3.", x)
-        x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
-    x = _ln(p, "dec.final.", x)
-    return T.linear(x, p["out_proj"])
-
-
 def decode_teacher_forced(
     module: LanguageModule, latent, src_mask, target_in, dropout_rng=None, packed: bool = False
 ) -> Tensor:
@@ -307,18 +277,55 @@ def decode_teacher_forced(
         raise CompatibilityError(
             f"batch mismatch: latent has {src_mask.shape[0]} rows, target has {tok.shape[0]}"
         )
-    p, heads = module.params, module.config.num_heads
+    cfg, p, heads = module.config, module.params, module.config.num_heads
     mask = pad_mask(tok)
     causal, cross_bias = _causal_bias(tok.shape[1]), _key_bias(src_mask)
     cross = la if packed else T.pack(la, src_mask)
-    logits = _decoder_logits(
-        module,
-        _embed(module, tok, mask),
-        lambda i, h: _attention(p, f"dec.{i}.self.", h, h, mask, mask, causal, heads),
-        lambda i, h: _attention(p, f"dec.{i}.cross.", h, cross, mask, src_mask, cross_bias, heads),
-        dropout_rng,
-    )
+    x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
+    for i in range(cfg.num_blocks):
+        pre = f"dec.{i}."
+        h = _ln(p, pre + "ln1.", x)
+        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, mask, mask, causal, heads), cfg.dropout, dropout_rng))
+        h = _ln(p, pre + "ln2.", x)
+        x = T.add(x, _maybe_dropout(_attention(p, pre + "cross.", h, cross, mask, src_mask, cross_bias, heads), cfg.dropout, dropout_rng))
+        h = _ln(p, pre + "ln3.", x)
+        x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
+    logits = T.linear(_ln(p, "dec.final.", x), p["out_proj"])
     return logits if packed else T.unpack(logits, mask)
+
+
+def _greedy_step(module: LanguageModule, p: dict, tok: np.ndarray, step: int, cache, cross, cross_bias) -> np.ndarray:
+    """Logits [B, V] of one greedy step, on plain arrays ``p`` of the
+    parameters: ``tok`` [B] holds each working row's newest token, at
+    position ``step``. Block i's self-attention keys and values of that
+    position are written to ``cache[i, :, :, :, step]``; ``cross`` holds
+    the latent's keys and values, split into heads like the cache.
+    """
+    cfg = module.config
+    b, heads = tok.shape[0], cfg.num_heads
+    dh = cfg.d_model // heads
+
+    def ln(prefix, x):
+        return T.layer_norm_forward(x, p[prefix + "gain"], p[prefix + "bias"], LN_EPS)[0]
+
+    def attention(prefix, h, k, v, bias):
+        q = (h @ p[prefix + "wq"] + p[prefix + "bq"]).reshape(b, heads, 1, dh)
+        ctx, _ = T.attend(q, k, v, bias)
+        return ctx.reshape(b, cfg.d_model) @ p[prefix + "wo"] + p[prefix + "bo"]
+
+    x = p["emb"][tok] * math.sqrt(cfg.d_model) + module._pe[step]
+    for i in range(cfg.num_blocks):
+        pre = f"dec.{i}."
+        h = ln(pre + "ln1.", x)
+        for j, name in enumerate("kv"):
+            cache[i, j, :, :, step] = (h @ p[pre + "self.w" + name] + p[pre + "self.b" + name]).reshape(b, heads, dh)
+        x = x + attention(pre + "self.", h, cache[i, 0, :, :, : step + 1], cache[i, 1, :, :, : step + 1], None)
+        h = ln(pre + "ln2.", x)
+        x = x + attention(pre + "cross.", h, cross[i, 0], cross[i, 1], cross_bias)
+        h = ln(pre + "ln3.", x)
+        ff = np.maximum(h @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"], 0.0)
+        x = x + (ff @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"])
+    return ln("dec.final.", x) @ p["out_proj"]
 
 
 def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> list[list[int]]:
@@ -332,48 +339,39 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
     Each step embeds only the newest token, whose query attends over the
     cached self-attention keys and values of the positions up to it, so
     no step re-decodes the prefix. Rows leave the working batch when they
-    emit eos.
+    emit eos. Steps run off the tape, on plain arrays, through the same
+    ``tensor.attend`` and layer-norm forward as the training path.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be positive, got {max_steps}")
     cfg = module.config
     if max_steps > cfg.max_len:
         raise LengthError(f"max_steps {max_steps} exceeds the position table ({cfg.max_len})")
-    # forward only, off any tape and without dropout
     la, src_mask = _check_latent(module, Tensor(T._as_array(latent)), src_mask)
-    batch, p, heads = la.shape[0], module.params, cfg.num_heads
-    # [num_blocks, 2, B, S, d_model] like the cache, so dropping rows is one index
-    cross = np.array(
-        [[_dense(p, f"dec.{i}.cross.", la.array, n) for n in "kv"] for i in range(cfg.num_blocks)]
-    )
+    batch, heads = la.shape[0], cfg.num_heads
+    p = {name: t.array for name, t in module.params.items()}
+    # [num_blocks, 2, B, h, S, d / h] like the cache, so dropping rows is one index
+    cross = np.array([
+        [T.split_heads(la.array @ p[f"dec.{i}.cross.w{n}"] + p[f"dec.{i}.cross.b{n}"], heads) for n in "kv"]
+        for i in range(cfg.num_blocks)
+    ])
     cross_bias = _key_bias(src_mask)
-    cache = np.empty((cfg.num_blocks, 2, batch, max_steps, cfg.d_model))
-
-    def self_attention(i, h):
-        pre, rows = f"dec.{i}.self.", h.array[:, 0]
-        cache[i, 0, :, step] = _dense(p, pre, rows, "k")
-        cache[i, 1, :, step] = _dense(p, pre, rows, "v")
-        return _cached_attention(p, pre, h, cache[i, 0, :, : step + 1], cache[i, 1, :, : step + 1], None, heads)
-
-    def cross_attention(i, h):
-        return _cached_attention(p, f"dec.{i}.cross.", h, cross[i, 0], cross[i, 1], cross_bias, heads)
-
+    cache = np.empty((cfg.num_blocks, 2, batch, heads, max_steps, cfg.d_model // heads))
     rows = np.arange(batch)  # original index of each working row
-    tok = np.full((batch, 1), BOS_ID, dtype=np.int64)
-    outs: list[list[int]] = [[] for _ in range(batch)]
+    tok = np.full(batch, BOS_ID, dtype=np.int64)
+    out = np.full((batch, max_steps), PAD_ID, dtype=np.int64)
+    lengths = np.full(batch, max_steps)
     for step in range(max_steps):
-        x = T.reshape(_embed(module, tok, np.ones(tok.shape, dtype=bool), step), (rows.size, 1, cfg.d_model))
-        logits = _decoder_logits(module, x, self_attention, cross_attention).array[:, 0]
+        logits = _greedy_step(module, p, tok, step, cache, cross, cross_bias)
         logits[:, PAD_ID] = -np.inf
         logits[:, BOS_ID] = -np.inf
-        nxt = logits.argmax(axis=-1)
-        for row, token in zip(rows, nxt):
-            outs[row].append(int(token))
-        live = nxt != EOS_ID
+        tok = logits.argmax(axis=-1)
+        out[rows, step] = tok
+        live = tok != EOS_ID
         if not live.all():
-            rows, nxt, cross_bias = rows[live], nxt[live], cross_bias[live]
+            lengths[rows[~live]] = step + 1
+            rows, tok, cross_bias = rows[live], tok[live], cross_bias[live]
             cross, cache = cross[:, :, live], cache[:, :, live]
             if rows.size == 0:
                 break
-        tok = nxt[:, None]
-    return outs
+    return [row[:n] for row, n in zip(out.tolist(), lengths.tolist())]

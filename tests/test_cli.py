@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from interlingua import toy
-from interlingua.cli import DEFAULTS, config_from, main
+from interlingua.cli import DEFAULTS, EFFECTIVE_CONFIG, config_from, main, read_config
 from interlingua.training import TrainConfig, load_checkpoint
 from interlingua.transformer import ModelConfig
 
@@ -231,6 +231,16 @@ class TestConfigValues:
         for section, cls in (("train", TrainConfig), ("model", ModelConfig)):
             names = {f.name for f in dataclasses.fields(cls)} - {"vocab_size"}
             assert names <= set(DEFAULTS[section]), section
+
+    def test_percent_sign_is_a_literal_character(self, project, capsys):
+        text = project.read_text(encoding="utf-8").replace("lang_x = x\n", "lang_x = x%y\n")
+        project.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "prepare", "--config", str(project), "--set", "data.lang_y=y%")
+        assert code == 0 and "Traceback" not in err, err
+        effective = out_dir(project) / EFFECTIVE_CONFIG
+        for path in (project, effective):
+            cp, _ = read_config(str(path), ["data.lang_y=y%"] if path == project else [])
+            assert (cp["data"]["lang_x"], cp["data"]["lang_y"]) == ("x%y", "y%")
 
     def test_swapped_language_pair_needs_prepare(self, trained_project, capsys):
         code, _, err = run(

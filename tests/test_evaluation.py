@@ -1,6 +1,7 @@
 """Tests for corpus BLEU and the encoder-interchange evaluation."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from interlingua.evaluation import (
 )
 from interlingua.exceptions import CompatibilityError, ContractError
 from interlingua.training import TrainState, build_system, make_batch, train
-from oracles import reference_bleu
+from oracles import _ngrams as slice_ngrams, reference_bleu
 
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "fast", "home"]
 
@@ -107,6 +108,13 @@ class TestBleuHandCases:
 
 
 class TestBleuProperties:
+    def test_ngram_counts_match_the_slice_definition(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            words = [WORDS[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 9)))]
+            for n in range(1, 5):  # lists shorter than n have no n-grams
+                assert E._ngrams(words, n) == Counter(slice_ngrams(words, n))
+
     def test_matches_reference_implementation(self):
         for seed in range(6):
             rng = np.random.default_rng(seed)

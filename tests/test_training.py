@@ -846,6 +846,9 @@ class TestAddLanguage:
             seed=1, quantize_latent=True, vq_tables=2, vq_entries=8,
         )
         assert_storage(system)
+        copied = copy.deepcopy(system)
+        assert_storage(copied)
+        assert copied.parameter_hash() == system.parameter_hash()
         cfg = fast_train_config(max_steps=2, quantize=True, vq_tables=2, vq_entries=8)
         state = train(system, TrainState(), corpus, cfg)
         save_checkpoint(system, state, tmp_path / "model.ckpt")

@@ -250,13 +250,14 @@ class TestGreedyDecode:
             M.greedy_decode(self.m, self.latent, self.mask, max_steps=99)
 
 
-def untrained_pair(seed, batch=12, vocab=16):
+def untrained_pair(seed, batch=12, vocab=16, **widths):
     """Encoder x, decoder y and a random source batch of mixed lengths.
 
     At vocab 16 the untrained decoders stop rows at many different steps,
     so the working batch of the cached decoder shrinks as it runs.
+    ``widths`` override the toy widths of the model config.
     """
-    cfg = M.ModelConfig(num_blocks=2, num_heads=2, d_model=32, vocab_size=vocab, max_len=50)
+    cfg = M.ModelConfig(**{**dict(num_blocks=2, num_heads=2, d_model=32, vocab_size=vocab, max_len=50), **widths})
     mx = M.LanguageModule("x", cfg, seed=seed)
     my = M.LanguageModule("y", cfg, seed=seed)
     rng = np.random.default_rng(seed)
@@ -276,17 +277,27 @@ class TestCachedDecodeAgainstOracle:
         assert len({len(row) for row in outs}) > 1  # rows stop at different steps
         assert outs == reference_greedy_decode(my, latent, mask, 50)
 
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_tokens_match_quadratic_reference_at_wide_widths(self, seed):
+        # four heads of width 32: a wrong head split or merge cannot hide
+        # behind the two-head toy widths; at vocab 8 these seeds stop some
+        # rows early and run others to max_len
+        my, latent, mask = untrained_pair(seed, batch=8, vocab=8, num_blocks=4, num_heads=4, d_model=128)
+        outs = M.greedy_decode(my, latent, mask, max_steps=50)
+        assert len({len(row) for row in outs}) > 1  # rows stop at different steps
+        assert outs == reference_greedy_decode(my, latent, mask, 50)
+
     def test_step_logits_match_teacher_forcing(self, monkeypatch):
         my, latent, mask = untrained_pair(2)
         steps = []
-        original = M._decoder_logits
+        original = M._greedy_step
 
         def spy(*args, **kwargs):
             logits = original(*args, **kwargs)
-            steps.append(logits.array[:, 0].copy())
+            steps.append(logits.copy())
             return logits
 
-        monkeypatch.setattr(M, "_decoder_logits", spy)
+        monkeypatch.setattr(M, "_greedy_step", spy)
         outs = M.greedy_decode(my, latent, mask, max_steps=50)
         monkeypatch.undo()
         assert len(steps) == max(len(row) for row in outs)
@@ -329,21 +340,24 @@ class TestCachedDecodeAgainstOracle:
         assert widened_mask.shape == (b, width + 5) and not widened_mask[:, width:].any()
         widened[:, width:] = np.random.default_rng(1).normal(scale=1e3, size=(b, 5, 32))
         runs = []
-        original = M._decoder_logits
+        original = M._greedy_step
 
         def spy(*args, **kwargs):
             logits = original(*args, **kwargs)
-            runs[-1].append(logits.array[:, 0].copy())
+            runs[-1].append(logits.copy())
             return logits
 
-        monkeypatch.setattr(M, "_decoder_logits", spy)
+        monkeypatch.setattr(M, "_greedy_step", spy)
         outs = []
         for la, ma in ((latent, mask), (widened, widened_mask)):
             runs.append([])
             outs.append(M.greedy_decode(my, la, ma, max_steps=50))
         assert len({len(row) for row in outs[0]}) > 1  # rows stop at different steps
         assert outs[1] == outs[0]
-        assert len(runs[1]) == len(runs[0])
+        # one recorded step per emitted position, each holding the rows still working
+        longest = max(len(row) for row in outs[0])
+        assert len(runs[0]) == len(runs[1]) == longest
+        assert [len(r) for r in runs[0]] == [sum(len(row) > t for row in outs[0]) for t in range(longest)]
         for got, want in zip(runs[1], runs[0]):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
