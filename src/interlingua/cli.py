@@ -16,6 +16,7 @@ import json
 import os
 import socket
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import data as D
@@ -327,15 +328,26 @@ def json_lines_logger(log, then=None):
 
 
 def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
-    """Learn one language's BPE table and vocabulary from a text file; save both."""
-    lines = text.read_text(encoding="utf-8").splitlines()
-    model = D.learn_bpe(lines, setting(cp, "data", "bpe_merges", int))
-    vocab = D.build_vocabulary(
-        [D.apply_bpe(model, l) for l in lines], setting(cp, "data", "vocab_cap", int)
-    )
+    """Learn one language's BPE table and vocabulary from a text file; save
+    both. Both come from its word counts: each distinct word is segmented once."""
+    words = D.word_counts(text.read_text(encoding="utf-8").splitlines())
+    model = D.learn_bpe(words, setting(cp, "data", "bpe_merges", int))
+    pieces = Counter()
+    for word, count in words.items():
+        for piece in model.segment_word(word):
+            pieces[piece] += count
+    vocab = D.build_vocabulary([pieces], setting(cp, "data", "vocab_cap", int))
     D.save_bpe(model, bpe_path(out, lang))
     vocab.save(vocab_path(out, lang))
     return model, vocab
+
+
+def save_corpus(corpus: D.ParallelCorpus, base: Path, path: Path):
+    """``data.save_corpus`` with source files named relative to ``base``, the
+    config file's directory, so the bytes do not depend on where it lives."""
+    sources = corpus.provenance["source_files"]
+    corpus.provenance["source_files"] = {lang: os.path.relpath(f, base) for lang, f in sources.items()}
+    D.save_corpus(corpus, path)
 
 
 def load_vocabs(out: Path, languages) -> dict[str, D.Vocabulary]:
@@ -417,7 +429,7 @@ def cmd_prepare(args) -> int:
             bpe_x=models[lang_x], bpe_y=models[lang_y],
             lang_x=lang_x, lang_y=lang_y, max_len=settings["max_len"],
         )
-        D.save_corpus(corpus, corpus_path(out, split))
+        save_corpus(corpus, base, corpus_path(out, split))
         prov = corpus.provenance
         print(f"prepare: {split}: kept {prov['kept']} pairs, dropped {prov['dropped']}")
 
@@ -519,7 +531,7 @@ def cmd_add_language(args) -> int:
             bpe_x=D.load_bpe(bpe_path(out, anchor_lang)), bpe_y=bpe_new,
             lang_x=anchor_lang, lang_y=new_lang, max_len=system.config.max_len,
         )
-        D.save_corpus(corpus, corpus_path(out, f"extend-{new_lang}"))
+        save_corpus(corpus, base, corpus_path(out, f"extend-{new_lang}"))
 
         module = LanguageModule(
             new_lang, system.config, vocab_size=len(vocab_new), seed=train_cfg.seed

@@ -27,6 +27,7 @@ from .transformer import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID
 # characters split off as standalone tokens; '@' stays word-internal so
 # segmented text survives re-tokenization
 PUNCTUATION = ".,!?;:()[]{}\"'"
+_SPACE_PUNCTUATION = str.maketrans({ch: f" {ch} " for ch in PUNCTUATION})
 
 CONTINUE_MARK = "@@"
 
@@ -36,13 +37,12 @@ CORPUS_VERSION = 1
 
 def tokenize(line: str) -> list[str]:
     """Lowercased word tokens with punctuation separated out."""
-    out = []
-    for ch in line.strip().lower():
-        if ch in PUNCTUATION:
-            out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return "".join(out).split()
+    return line.strip().lower().translate(_SPACE_PUNCTUATION).split()
+
+
+def word_counts(lines) -> Counter:
+    """How often each word token occurs in ``lines``."""
+    return Counter(word for line in lines for word in tokenize(line))
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -56,20 +56,23 @@ class BpeModel:
     merges: list[tuple[str, str]]
 
     def __post_init__(self):
-        self._cache: dict[str, tuple[str, ...]] = {}
+        # word -> its marked pieces; tuples, so no caller can change an entry
+        self._memo: dict[str, tuple[str, ...]] = {}
 
     def segment_word(self, word: str) -> tuple[str, ...]:
-        """Split one word into subword pieces (no continuation marks)."""
-        hit = self._cache.get(word)
+        """One word's subword pieces, every non-final one marked with @@. A
+        word that already ends with the mark stays whole, which makes
+        re-application of the model a fixed point."""
+        hit = self._memo.get(word)
         if hit is not None:
             return hit
-        syms = list(word)
+        syms = [word] if word.endswith(CONTINUE_MARK) else list(word)
         for pair in self.merges:
             if len(syms) == 1:
                 break
             syms = _apply_merge(syms, pair)
-        result = tuple(syms)
-        self._cache[word] = result
+        result = tuple(s + CONTINUE_MARK for s in syms[:-1]) + (syms[-1],)
+        self._memo[word] = result
         return result
 
 
@@ -93,13 +96,12 @@ def learn_bpe(lines, num_merges: int) -> BpeModel:
 
     Ties between equally frequent pairs resolve lexicographically, so the
     learned merge list is deterministic for a given corpus. Learning stops
-    early when no adjacent pair is left.
+    early when no adjacent pair is left. ``lines`` are text lines, or the
+    Counter that ``word_counts`` makes of them.
     """
     if num_merges < 0:
         raise ConfigError(f"num_merges must be >= 0, got {num_merges}")
-    word_freq = Counter()
-    for line in lines:
-        word_freq.update(tokenize(line))
+    word_freq = lines if isinstance(lines, Counter) else word_counts(lines)
     vocab: dict[tuple[str, ...], int] = {tuple(w): f for w, f in word_freq.items()}
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
@@ -115,20 +117,13 @@ def learn_bpe(lines, num_merges: int) -> BpeModel:
     return BpeModel(merges)
 
 
-def apply_bpe(model: BpeModel, line: str) -> list[str]:
-    """Segment a line; non-final pieces of each word carry the @@ mark.
-
-    Tokens that already end with the continuation mark pass through
-    untouched, which makes re-application of the model a fixed point.
+def apply_bpe(model: BpeModel, line: str | list[str]) -> list[str]:
+    """Segment a line, or its words as ``tokenize`` returns them; non-final
+    pieces of each word carry the @@ mark (see ``BpeModel.segment_word``).
     """
-    out = []
-    for word in tokenize(line):
-        if word.endswith(CONTINUE_MARK):
-            out.append(word)
-            continue
-        pieces = model.segment_word(word)
-        out.extend(p + CONTINUE_MARK for p in pieces[:-1])
-        out.append(pieces[-1])
+    memo, out = model._memo, []
+    for word in tokenize(line) if isinstance(line, str) else line:
+        out += memo.get(word) or model.segment_word(word)
     return out
 
 
@@ -216,7 +211,8 @@ class Vocabulary:
 def build_vocabulary(segmented_lines, max_size: int) -> Vocabulary:
     """Most frequent tokens first, capped at max_size including reserved ids.
 
-    Frequency ties resolve lexicographically so builds are deterministic.
+    Items are token lists or token -> count mappings. Frequency ties
+    resolve lexicographically so builds are deterministic.
     """
     if max_size <= len(RESERVED_TOKENS):
         raise ConfigError(f"max_size must exceed {len(RESERVED_TOKENS)}")
@@ -274,11 +270,12 @@ def load_parallel(
     kept_lines = []
     dropped = 0
     for i, (lx, ly) in enumerate(zip(lines_x, lines_y)):
-        if len(tokenize(lx)) > max_words or len(tokenize(ly)) > max_words:
+        words_x, words_y = tokenize(lx), tokenize(ly)
+        if len(words_x) > max_words or len(words_y) > max_words:
             dropped += 1
             continue
-        tokens_x = apply_bpe(bpe_x, lx) if bpe_x else tokenize(lx)
-        tokens_y = apply_bpe(bpe_y, ly) if bpe_y else tokenize(ly)
+        tokens_x = apply_bpe(bpe_x, words_x) if bpe_x else words_x
+        tokens_y = apply_bpe(bpe_y, words_y) if bpe_y else words_y
         if not tokens_x or not tokens_y:
             dropped += 1
             continue
@@ -377,8 +374,8 @@ def save_corpus(corpus: ParallelCorpus, path):
     with open(path, "wb") as fh:
         write_header(fh, CORPUS_MAGIC, header)
         for lang in corpus.languages:
-            for seq in corpus.sequences[lang]:
-                fh.write(np.ascontiguousarray(seq, dtype="<i4").tobytes())
+            rows = [np.empty(0, "<i4"), *corpus.sequences[lang]]
+            fh.write(np.concatenate(rows, dtype="<i4").tobytes())
 
 
 def read_corpus(path) -> ParallelCorpus:

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: central differences for gradients,
 exhaustive search for nearest neighbors, a direct transcription of corpus
 BLEU, a transformer that computes every padded position through
-primitive ops, and Adam applied one parameter array at a time. Slow and
-obvious beats fast and clever for reference code.
+primitive ops, Adam applied one parameter array at a time, and a text
+pipeline that tokenizes character by character and re-tokenizes each
+line at every step. Slow and obvious beats fast and clever for
+reference code.
 """
 
 from __future__ import annotations
@@ -270,3 +272,126 @@ def reference_adam_update(state, params, names, grads, cfg):
         v = v + (1.0 - b2) * (g * g)
         state.moments[n] = (m, v)
         p.array -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+
+
+# ---------------------------------------------------------------------------
+# the text pipeline as a loop over each line's characters and each word's
+# merges: tokenize, learn merges, segment, count the vocabulary and filter
+# pairs, each step on its own
+# ---------------------------------------------------------------------------
+
+
+def reference_tokenize(line: str) -> list[str]:
+    """Lowercased word tokens, every punctuation character spaced out one at
+    a time before the split."""
+    from interlingua.data import PUNCTUATION
+
+    out = []
+    for ch in line.strip().lower():
+        if ch in PUNCTUATION:
+            out.append(f" {ch} ")
+        else:
+            out.append(ch)
+    return "".join(out).split()
+
+
+def _reference_merge(syms: list[str], pair: tuple[str, str]) -> list[str]:
+    a, b = pair
+    out = []
+    i = 0
+    while i < len(syms):
+        if i + 1 < len(syms) and syms[i] == a and syms[i + 1] == b:
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(syms[i])
+            i += 1
+    return out
+
+
+def reference_learn_bpe(lines, num_merges: int) -> list[tuple[str, str]]:
+    """Greedy merges: the most frequent adjacent pair over the word
+    frequency table, ties to the lexicographically smallest pair."""
+    freq = Counter()
+    for line in lines:
+        freq.update(reference_tokenize(line))
+    words = {tuple(w): f for w, f in freq.items()}
+    merges = []
+    for _ in range(num_merges):
+        pairs = Counter()
+        for syms, f in words.items():
+            for pair in zip(syms, syms[1:]):
+                pairs[pair] += f
+        if not pairs:
+            break
+        best = min(pairs, key=lambda p: (-pairs[p], p))
+        merges.append(best)
+        words = {tuple(_reference_merge(list(syms), best)): f for syms, f in words.items()}
+    return merges
+
+
+class ReferenceBpe:
+    """Merges applied to each word's characters in order, pieces (unmarked)
+    cached per word, and the @@ marks added on every call."""
+
+    def __init__(self, merges):
+        self.merges = list(merges)
+        self._cache: dict[str, tuple[str, ...]] = {}
+
+    def segment_word(self, word: str) -> tuple[str, ...]:
+        if word not in self._cache:
+            syms = list(word)
+            for pair in self.merges:
+                if len(syms) == 1:
+                    break
+                syms = _reference_merge(syms, pair)
+            self._cache[word] = tuple(syms)
+        return self._cache[word]
+
+    def apply(self, line: str) -> list[str]:
+        from interlingua.data import CONTINUE_MARK
+
+        out = []
+        for word in reference_tokenize(line):
+            if word.endswith(CONTINUE_MARK):
+                out.append(word)
+                continue
+            pieces = self.segment_word(word)
+            out.extend(p + CONTINUE_MARK for p in pieces[:-1])
+            out.append(pieces[-1])
+        return out
+
+
+def reference_vocabulary(bpe: ReferenceBpe, lines, max_size: int) -> list[str]:
+    """Reserved tokens, then the segmented lines' tokens by falling count,
+    ties lexicographic, max_size in all."""
+    from interlingua.transformer import RESERVED_TOKENS
+
+    freq = Counter()
+    for line in lines:
+        freq.update(bpe.apply(line))
+    ranked = sorted(freq, key=lambda t: (-freq[t], t))
+    return list(RESERVED_TOKENS) + ranked[: max_size - len(RESERVED_TOKENS)]
+
+
+def reference_pairs(lines_x, lines_y, bpe_x, bpe_y, vocab_x, vocab_y, max_words: int, max_len: int):
+    """Eos-terminated id rows of both sides and the kept line numbers: a
+    pair is dropped when either side has more than max_words words, no
+    subword, or more than max_len ids with its eos."""
+    from interlingua.transformer import EOS_ID, UNK_ID
+
+    ids_x, ids_y, kept = [], [], []
+    for i, (lx, ly) in enumerate(zip(lines_x, lines_y)):
+        if len(reference_tokenize(lx)) > max_words or len(reference_tokenize(ly)) > max_words:
+            continue
+        tx, ty = bpe_x.apply(lx), bpe_y.apply(ly)
+        if not tx or not ty:
+            continue
+        rx = [vocab_x.index(t) if t in vocab_x else UNK_ID for t in tx] + [EOS_ID]
+        ry = [vocab_y.index(t) if t in vocab_y else UNK_ID for t in ty] + [EOS_ID]
+        if max(len(rx), len(ry)) > max_len:
+            continue
+        ids_x.append(rx)
+        ids_y.append(ry)
+        kept.append(i)
+    return ids_x, ids_y, kept

@@ -14,10 +14,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from interlingua import data as D
 from interlingua import toy
 from interlingua.cli import DEFAULTS, EFFECTIVE_CONFIG, config_from, main, read_config
 from interlingua.training import TrainConfig, load_checkpoint
 from interlingua.transformer import ModelConfig
+from oracles import ReferenceBpe, reference_learn_bpe, reference_pairs, reference_vocabulary
 
 CONFIG_TEMPLATE = """\
 [data]
@@ -155,6 +157,72 @@ class TestPrepare:
         code, out, _ = run(capsys, "prepare", "--config", str(project), "--set", "model.max_len=20")
         assert code == 0
         assert "unchanged" not in out
+
+    def test_artifacts_match_the_reference_pipeline(self, project, capsys):
+        # a pair over max_words and one over max_len in each split, plus
+        # punctuation and capitals, checked against the oracles composed
+        # step by step from the text files
+        data = project.parent / "toydata"
+        extra = {
+            "x": ["taru " * 51, "mesi " * 20, "Taru, MESI konda!"],
+            "y": ["ulme " * 51, "satre " * 20, "bovik satre (ulme)."],
+        }
+        for split in ("train", "test"):
+            for side in ("x", "y"):
+                path = data / f"{split}.{side}"
+                path.write_text(path.read_text(encoding="utf-8") + "\n".join(extra[side]) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "prepare", "--config", str(project))
+        assert code == 0, err
+        assert "train: kept 25 pairs, dropped 2" in out
+        run_dir = out_dir(project)
+        lines = {
+            (split, side): (data / f"{split}.{side}").read_text(encoding="utf-8").splitlines()
+            for split in ("train", "test") for side in ("x", "y")
+        }
+        bpe, vocab = {}, {}
+        for side in ("x", "y"):
+            bpe[side] = ReferenceBpe(reference_learn_bpe(lines["train", side], 120))
+            vocab[side] = reference_vocabulary(bpe[side], lines["train", side], 64)
+            assert D.load_bpe(run_dir / f"bpe-{side}.txt").merges == bpe[side].merges
+            assert D.Vocabulary.load(run_dir / f"vocab-{side}.txt").id_to_token == vocab[side]
+        for split in ("train", "test"):
+            ids_x, ids_y, kept = reference_pairs(
+                lines[split, "x"], lines[split, "y"], bpe["x"], bpe["y"], vocab["x"], vocab["y"],
+                max_words=50, max_len=16,
+            )
+            corpus = D.read_corpus(run_dir / f"corpus-{split}.bin")
+            assert corpus.provenance["kept_line_numbers"] == kept
+            assert corpus.provenance["dropped"] == len(lines[split, "x"]) - len(kept)
+            assert [row.tolist() for row in corpus.sequences["x"]] == ids_x
+            assert [row.tolist() for row in corpus.sequences["y"]] == ids_y
+
+    def test_tokenizes_each_line_at_most_twice(self, project, capsys, monkeypatch):
+        calls = []
+        original = D.tokenize
+
+        def spy(line):
+            calls.append(line)
+            return original(line)
+
+        monkeypatch.setattr(D, "tokenize", spy)
+        assert run(capsys, "prepare", "--config", str(project))[0] == 0
+        # train lines: the word counts and the corpus; test lines: the corpus
+        n_train, n_test = 24, 6
+        assert 0 < len(calls) <= 2 * (2 * n_train + n_test)
+
+    def test_artifacts_do_not_depend_on_the_project_directory(self, tmp_path, capsys):
+        run_dirs = []
+        for root in (tmp_path / "a", tmp_path / "another" / "project"):
+            config = make_project(root)
+            assert run(capsys, "prepare", "--config", str(config))[0] == 0
+            run_dirs.append(out_dir(config))
+        names = sorted(p.name for p in run_dirs[0].iterdir())
+        assert names == sorted(p.name for p in run_dirs[1].iterdir())
+        for name in names:
+            if name != EFFECTIVE_CONFIG:  # echoes the resolved absolute paths
+                assert (run_dirs[0] / name).read_bytes() == (run_dirs[1] / name).read_bytes(), name
+        provenance = D.read_corpus(run_dirs[0] / "corpus-test.bin").provenance
+        assert provenance["source_files"] == {"x": "toydata/test.x", "y": "toydata/test.y"}
 
     def test_misaligned_corpora_fail_with_alignment_error(self, project, capsys):
         train_y = project.parent / "toydata" / "train.y"
@@ -621,6 +689,8 @@ class TestAddLanguage:
         assert extended.is_file()
         assert (run_dir / "vocab-n.txt").is_file()
         assert (run_dir / "bpe-n.txt").is_file()
+        provenance = D.read_corpus(run_dir / "corpus-extend-n.bin").provenance
+        assert provenance["source_files"] == {"x": "toydata/train.x", "n": "toydata/train.n"}
         log_lines = (run_dir / "extend-log.jsonl").read_text().splitlines()
         assert len(log_lines) == 6
 

@@ -1,11 +1,36 @@
 """Text pipeline: tokenizer, BPE learn/apply/reverse, vocabulary, corpora."""
 
+import random
+
 import numpy as np
 import pytest
 
 from interlingua import data as D
+from interlingua import toy
 from interlingua.exceptions import AlignmentError, CheckpointError, ConfigError
 from interlingua.transformer import EOS_ID, UNK_ID
+from oracles import ReferenceBpe, reference_tokenize
+
+# letters, every punctuation character, the whitespace str.split knows,
+# characters whose lowercase is longer or depends on context, combining
+# marks, and the continuation mark
+FUZZ_ALPHABET = (
+    list("abcAB") + list(D.PUNCTUATION)
+    + ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u3000", " "]
+    + ["\u0130", "\u1e9e", "\u03a3", "\u03c3", "\u03c2", "\u0301", "\u0308", "\u0345", "@@", "@"]
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_lines():
+    rng = random.Random(20261019)
+    return ["".join(rng.choices(FUZZ_ALPHABET, k=rng.randint(0, 24))) for _ in range(20000)]
+
+
+@pytest.fixture(scope="module")
+def toy_lines():
+    pairs = toy.toy_pairs(10000, seed=5)
+    return {"x": [p[0] for p in pairs], "y": [p[1] for p in pairs]}
 
 
 class TestTokenize:
@@ -24,6 +49,10 @@ class TestTokenize:
 
     def test_empty_line(self):
         assert D.tokenize("   ") == []
+
+    def test_matches_the_per_character_loop(self, fuzz_lines):
+        for line in fuzz_lines:
+            assert D.tokenize(line) == reference_tokenize(line), repr(line)
 
 
 class TestBpe:
@@ -75,6 +104,28 @@ class TestBpe:
             once = D.apply_bpe(model, line)
             twice = D.apply_bpe(model, " ".join(once))
             assert once == twice
+
+    @pytest.mark.parametrize("corpus", ["toy-x", "toy-y", "fuzz"])
+    def test_matches_the_oracle_and_reapplies_to_itself(self, corpus, toy_lines, fuzz_lines):
+        # the fuzz model learns from a slice, so the rest meets unseen words
+        lines, model = (
+            (fuzz_lines, D.learn_bpe(fuzz_lines[:2000], 40)) if corpus == "fuzz"
+            else (toy_lines[corpus[-1]], D.learn_bpe(toy_lines[corpus[-1]], 200))
+        )
+        reference = ReferenceBpe(model.merges)
+        for line in lines:
+            once = D.apply_bpe(model, line)
+            assert once == reference.apply(line), repr(line)
+            assert D.apply_bpe(model, " ".join(once)) == once, repr(line)
+            assert D.apply_bpe(model, D.tokenize(line)) == once, repr(line)
+
+    def test_returned_lists_do_not_share_the_memo(self):
+        model = D.learn_bpe(["aaab aaab"], num_merges=1)
+        first = D.apply_bpe(model, "aaab")
+        first.append("junk")
+        first[0] = "changed"
+        assert D.apply_bpe(model, "aaab") == ["aa@@", "a@@", "b"]
+        assert D.apply_bpe(model, ["aaab"]) == ["aa@@", "a@@", "b"]
 
     def test_dangling_continuation_reverses_gracefully(self):
         assert D.reverse_bpe(["ab@@"]) == ["ab"]
