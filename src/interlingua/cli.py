@@ -342,7 +342,7 @@ def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Voca
     return model, vocab
 
 
-def save_corpus(corpus: D.ParallelCorpus, base: Path, path: Path):
+def save_prepared_corpus(corpus: D.ParallelCorpus, base: Path, path: Path):
     """``data.save_corpus`` with source files named relative to ``base``, the
     config file's directory, so the bytes do not depend on where it lives."""
     sources = corpus.provenance["source_files"]
@@ -429,7 +429,7 @@ def cmd_prepare(args) -> int:
             bpe_x=models[lang_x], bpe_y=models[lang_y],
             lang_x=lang_x, lang_y=lang_y, max_len=settings["max_len"],
         )
-        save_corpus(corpus, base, corpus_path(out, split))
+        save_prepared_corpus(corpus, base, corpus_path(out, split))
         prov = corpus.provenance
         print(f"prepare: {split}: kept {prov['kept']} pairs, dropped {prov['dropped']}")
 
@@ -531,7 +531,7 @@ def cmd_add_language(args) -> int:
             bpe_x=D.load_bpe(bpe_path(out, anchor_lang)), bpe_y=bpe_new,
             lang_x=anchor_lang, lang_y=new_lang, max_len=system.config.max_len,
         )
-        save_corpus(corpus, base, corpus_path(out, f"extend-{new_lang}"))
+        save_prepared_corpus(corpus, base, corpus_path(out, f"extend-{new_lang}"))
 
         module = LanguageModule(
             new_lang, system.config, vocab_size=len(vocab_new), seed=train_cfg.seed
