@@ -34,7 +34,7 @@ from .training import (
     TrainConfig,
     TrainState,
     _pad_rows,
-    add_language,
+    attach_language,
     build_system,
     load_checkpoint,
     make_batch,
@@ -45,12 +45,30 @@ from .transformer import EOS_ID, LanguageModule, ModelConfig
 from .viz import export_embeddings, language_silhouette, pca_project, render_scatter, save_dump
 
 FINAL_CHECKPOINT = "checkpoint-final.ckpt"
-EXTENDED_CHECKPOINT = "checkpoint-extended.ckpt"
 MANIFEST = "manifest.json"
 EFFECTIVE_CONFIG = "effective-config.ini"
 TRAIN_LOG = "train-log.jsonl"
-EXTEND_LOG = "extend-log.jsonl"
 LOCK_FILE = ".lock"
+
+# each training command's step log, periodic checkpoint and final checkpoint
+RUN_FILES = {
+    "train": (TRAIN_LOG, "checkpoint-{step:06d}.ckpt", FINAL_CHECKPOINT),
+    "add-language": ("extend-log.jsonl", "checkpoint-extended-{step:06d}.ckpt", "checkpoint-extended.ckpt"),
+}
+
+# recorded in prepare's manifest, so a directory prepared by code that wrote
+# other artifacts is rebuilt; 2: corpus source files relative to the config
+PREPARE_FORMAT = 2
+
+
+def ini_text(value) -> str:
+    """A config dataclass default as INI text that ``setting`` reads back to it."""
+    if isinstance(value, tuple):  # 17 significant digits read back exactly; 1.0 prints as 1
+        return ",".join(f"{v:.17g}" for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
+
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "data": {
@@ -64,30 +82,9 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "bpe_merges": "200",
         "vocab_cap": "512",
     },
-    "model": {
-        "num_blocks": "2",
-        "num_heads": "2",
-        "d_model": "32",
-        "d_ff": "",
-        "max_len": "50",
-        "dropout": "0.0",
-    },
-    "train": {
-        "learning_rate": "1e-4",
-        "beta1": "0.9",
-        "beta2": "0.98",
-        "adam_eps": "1e-9",
-        "batch_size": "16",
-        "max_steps": "1000",
-        "distance_mode": "corr",
-        "quantize": "false",
-        "vq_tables": "4",
-        "vq_entries": "64",
-        "commitment_beta": "0.25",
-        "loss_weights": "1,1,1,1,1",
-        "seed": "0",
-        "checkpoint_every": "0",
-    },
+    # vocab_size follows the prepared vocabularies
+    "model": {f.name: ini_text(f.default) for f in dataclasses.fields(ModelConfig) if f.name != "vocab_size"},
+    "train": {**{f.name: ini_text(f.default) for f in dataclasses.fields(TrainConfig)}, "checkpoint_every": "0"},
     "extend": {
         "new_lang": "",
         "anchor_lang": "",
@@ -315,18 +312,6 @@ def write_json(path: Path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def json_lines_logger(log, then=None):
-    """Step callback writing one sorted JSON line per report, then calling ``then``."""
-
-    def on_step(report: dict):
-        log.write(json.dumps(report, sort_keys=True) + "\n")
-        log.flush()
-        if then is not None:
-            then(report)
-
-    return on_step
-
-
 def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
     """Learn one language's BPE table and vocabulary from a text file; save
     both. Both come from its word counts: each distinct word is segmented once."""
@@ -342,12 +327,50 @@ def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Voca
     return model, vocab
 
 
-def save_prepared_corpus(corpus: D.ParallelCorpus, base: Path, path: Path):
-    """``data.save_corpus`` with source files named relative to ``base``, the
-    config file's directory, so the bytes do not depend on where it lives."""
-    sources = corpus.provenance["source_files"]
-    corpus.provenance["source_files"] = {lang: os.path.relpath(f, base) for lang, f in sources.items()}
-    D.save_corpus(corpus, path)
+def build_split(
+    command: str, base: Path, out: Path, split: str, texts: dict[str, Path], models, vocabs,
+    max_words: int, max_len: int,
+) -> D.ParallelCorpus:
+    """Binarize one split from aligned text files keyed by language, first
+    side first, and save it. Its source files are named relative to
+    ``base``, the config file's directory, so the bytes do not depend on
+    where it lives."""
+    (lang_x, px), (lang_y, py) = texts.items()
+    corpus = D.load_parallel(
+        px, py, vocabs[lang_x], vocabs[lang_y], max_words=max_words,
+        bpe_x=models[lang_x], bpe_y=models[lang_y], lang_x=lang_x, lang_y=lang_y, max_len=max_len,
+    )
+    prov = corpus.provenance
+    prov["source_files"] = {lang: os.path.relpath(f, base) for lang, f in texts.items()}
+    D.save_corpus(corpus, corpus_path(out, split))
+    print(f"{command}: {split}: kept {prov['kept']} pairs, dropped {prov['dropped']}")
+    return corpus
+
+
+def run_training(
+    command: str, out: Path, system: System, state: TrainState, corpus: D.ParallelCorpus,
+    cfg: TrainConfig, checkpoint_every: int, trainable: set[str] | None = None,
+) -> Path:
+    """Train up to ``cfg.max_steps`` with ``command``'s files (``RUN_FILES``):
+    one sorted JSON line per step in its log, a checkpoint every
+    ``checkpoint_every`` steps and progress on step 1 and every 50th.
+    Returns the final checkpoint, saved at the end."""
+    log_name, periodic, final = RUN_FILES[command]
+
+    def after_step(report: dict):
+        log.write(json.dumps(report, sort_keys=True) + "\n")
+        log.flush()
+        step = report["step"]
+        if checkpoint_every > 0 and step % checkpoint_every == 0:
+            save_checkpoint(system, state, out / periodic.format(step=step), train_config=cfg)
+        if step % 50 == 0 or step == 1:
+            print(f"step {step}: loss {report['loss']:.4f} corr_distance {report['corr_distance']:.4f}")
+
+    # a state past step 0 was resumed: its log so far is kept
+    with open(out / log_name, "a" if state.step else "w", encoding="utf-8") as log:
+        train(system, state, corpus, cfg, log_fn=after_step, trainable=trainable)
+    save_checkpoint(system, state, out / final, train_config=cfg)
+    return out / final
 
 
 def load_vocabs(out: Path, languages) -> dict[str, D.Vocabulary]:
@@ -397,7 +420,9 @@ def cmd_prepare(args) -> int:
         raise ConfigError(f"lang_x and lang_y must differ, both are {lang_x!r}")
     settings = {key: setting(cp, "data", key, int) for key in ("bpe_merges", "vocab_cap", "max_words")}
     # the longest id sequence, eos included, that the model will accept
-    settings.update(max_len=setting(cp, "model", "max_len", int), lang_x=lang_x, lang_y=lang_y)
+    settings.update(
+        max_len=setting(cp, "model", "max_len", int), lang_x=lang_x, lang_y=lang_y, format=PREPARE_FORMAT
+    )
     inputs = {
         "train_x": D.file_sha256(train_x),
         "train_y": D.file_sha256(train_y),
@@ -422,20 +447,10 @@ def cmd_prepare(args) -> int:
         models[lang], vocabs[lang] = learn_side(cp, path, out, lang)
         print(f"prepare: {lang}: {len(models[lang].merges)} merges, vocabulary {len(vocabs[lang])}")
 
-    def build_split(split: str, px, py):
-        corpus = D.load_parallel(
-            px, py, vocabs[lang_x], vocabs[lang_y],
-            max_words=settings["max_words"],
-            bpe_x=models[lang_x], bpe_y=models[lang_y],
-            lang_x=lang_x, lang_y=lang_y, max_len=settings["max_len"],
-        )
-        save_prepared_corpus(corpus, base, corpus_path(out, split))
-        prov = corpus.provenance
-        print(f"prepare: {split}: kept {prov['kept']} pairs, dropped {prov['dropped']}")
-
-    build_split("train", train_x, train_y)
-    if test_x:
-        build_split("test", test_x, test_y)
+    limits = {"max_words": settings["max_words"], "max_len": settings["max_len"]}
+    for split, px, py in (("train", train_x, train_y), ("test", test_x, test_y)):
+        if px:
+            build_split(args.command, base, out, split, {lang_x: px, lang_y: py}, models, vocabs, **limits)
 
     output_names = [bpe_path(out, l).name for l in sides] + [vocab_path(out, l).name for l in sides]
     output_names.append(corpus_path(out, "train").name)
@@ -464,7 +479,6 @@ def cmd_train(args) -> int:
             # parameters, optimizer moments, and the step counter
             resumed = require_file(final, "train first or drop --resume")
             system, state, _ = load_checkpoint(resumed, expected_vocab_hashes=hashes)
-            log_mode = "a"
             if state.step >= train_cfg.max_steps:
                 print(f"train: checkpoint already at step {state.step}, nothing to do")
                 return 0
@@ -484,23 +498,7 @@ def cmd_train(args) -> int:
             )
             system.vocab_hashes = hashes
             state = TrainState()
-            log_mode = "w"
-
-        def after_step(report: dict):
-            if checkpoint_every > 0 and report["step"] % checkpoint_every == 0:
-                save_checkpoint(
-                    system, state, out / f"checkpoint-{report['step']:06d}.ckpt",
-                    train_config=train_cfg,
-                )
-            if report["step"] % 50 == 0 or report["step"] == 1:
-                print(
-                    f"step {report['step']}: loss {report['loss']:.4f} "
-                    f"corr_distance {report['corr_distance']:.4f}"
-                )
-
-        with open(out / TRAIN_LOG, log_mode, encoding="utf-8") as log:
-            train(system, state, corpus, train_cfg, log_fn=json_lines_logger(log, after_step))
-        save_checkpoint(system, state, final, train_config=train_cfg)
+        run_training(args.command, out, system, state, corpus, train_cfg, checkpoint_every)
     print(f"train: finished at step {state.step}, checkpoint {final}")
     return 0
 
@@ -517,6 +515,7 @@ def cmd_add_language(args) -> int:
     warm_start = setting(cp, "extend", "warm_start", bool)
 
     train_cfg = config_from(cp, "train", TrainConfig)
+    checkpoint_every = setting(cp, "train", "checkpoint_every", int)
     with OutputLock(out):
         system, _ = load_system(args, out, language_pair(cp))
         if anchor_lang not in system.modules:
@@ -524,31 +523,19 @@ def cmd_add_language(args) -> int:
         if new_lang in system.modules:
             raise ConfigError(f"language {new_lang!r} already in checkpoint")
 
-        bpe_new, vocab_new = learn_side(cp, train_new, out, new_lang)
-        corpus = D.load_parallel(
-            train_anchor, train_new, load_vocabs(out, [anchor_lang])[anchor_lang], vocab_new,
-            max_words=setting(cp, "data", "max_words", int),
-            bpe_x=D.load_bpe(bpe_path(out, anchor_lang)), bpe_y=bpe_new,
-            lang_x=anchor_lang, lang_y=new_lang, max_len=system.config.max_len,
+        models, vocabs = {}, load_vocabs(out, [anchor_lang])
+        models[anchor_lang] = D.load_bpe(bpe_path(out, anchor_lang))
+        models[new_lang], vocabs[new_lang] = learn_side(cp, train_new, out, new_lang)
+        corpus = build_split(
+            args.command, base, out, f"extend-{new_lang}", {anchor_lang: train_anchor, new_lang: train_new},
+            models, vocabs, max_words=setting(cp, "data", "max_words", int), max_len=system.config.max_len,
         )
-        save_prepared_corpus(corpus, base, corpus_path(out, f"extend-{new_lang}"))
-
-        module = LanguageModule(
-            new_lang, system.config, vocab_size=len(vocab_new), seed=train_cfg.seed
+        module = LanguageModule(new_lang, system.config, vocab_size=len(vocabs[new_lang]), seed=train_cfg.seed)
+        run_cfg, trainable = attach_language(system, module, corpus, train_cfg, finetune_all, warm_start)
+        system.vocab_hashes[new_lang] = vocabs[new_lang].content_hash()
+        target = run_training(
+            args.command, out, system, TrainState(), corpus, run_cfg, checkpoint_every, trainable
         )
-        with open(out / EXTEND_LOG, "w", encoding="utf-8") as log:
-            system, state = add_language(
-                system,
-                module,
-                corpus,
-                train_cfg,
-                log_fn=json_lines_logger(log),
-                finetune_all=finetune_all,
-                warm_start=warm_start,
-            )
-        system.vocab_hashes[new_lang] = vocab_new.content_hash()
-        target = out / EXTENDED_CHECKPOINT
-        save_checkpoint(system, state, target, train_config=train_cfg)
     frozen = "all parameters tuned" if finetune_all else "existing modules frozen"
     print(f"add-language: {new_lang} trained against {anchor_lang} ({frozen}), checkpoint {target}")
     return 0

@@ -10,6 +10,7 @@ sides aligned with full provenance of what was dropped.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -301,6 +302,20 @@ def load_parallel(
     )
 
 
+@contextlib.contextmanager
+def replacing(path):
+    """A binary file handle whose bytes replace ``path`` only when the block
+    ends without error: they go to a hidden temporary sibling, renamed over
+    ``path`` at the end and removed on any error."""
+    partial = Path(path).with_name(f".{Path(path).name}.partial")
+    try:
+        with open(partial, "wb") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_header(fh, magic: bytes, header: dict):
     """Magic bytes, an 8-byte little-endian length, then the JSON header."""
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -371,7 +386,7 @@ def save_corpus(corpus: ParallelCorpus, path):
         },
         "provenance": corpus.provenance,
     }
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         write_header(fh, CORPUS_MAGIC, header)
         for lang in corpus.languages:
             rows = [np.empty(0, "<i4"), *corpus.sequences[lang]]

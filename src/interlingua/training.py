@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .data import ParallelCorpus, expect_end, header_field, read_array, read_header, write_header
+from .data import ParallelCorpus, expect_end, header_field, read_array, read_header, replacing, write_header
 from .exceptions import (
     CheckpointError,
     CompatibilityError,
@@ -466,22 +466,19 @@ def train(
 VOCAB_INDEXED_PARAMS = ("emb", "out_proj")
 
 
-def add_language(
-    system: System,
-    new: LanguageModule,
-    corpus: ParallelCorpus,
-    cfg: TrainConfig,
-    log_fn: Callable[[dict], None] | None = None,
-    finetune_all: bool = False,
-    warm_start: bool = True,
-) -> tuple[System, TrainState]:
-    """Attach a new language by training it against one frozen pretrained side.
+def attach_language(
+    system: System, new: LanguageModule, corpus: ParallelCorpus, cfg: TrainConfig,
+    finetune_all: bool = False, warm_start: bool = True,
+) -> tuple[TrainConfig, set[str] | None]:
+    """Attach a new language to train against one frozen pretrained side.
 
-    The corpus pairs an existing language with the new one. The objective
-    keeps the new language's reconstruction, both cross translations and
-    the distance term; the pretrained module's own reconstruction is
-    weighted out. Unless ``finetune_all`` is set, every pretrained
-    parameter (codebook included) stays bit-identical.
+    The corpus pairs an existing language with the new one. Returns the
+    config and the trainable names (None for all) to train with. The
+    config keeps the new language's reconstruction, both cross
+    translations and the distance term, and weights out the pretrained
+    module's own. Unless ``finetune_all`` is set, only the new module
+    trains, so every pretrained parameter (codebook included) stays
+    bit-identical.
 
     With ``warm_start`` (the default) the new module's attention, feed
     forward and normalization weights start as copies of the anchor
@@ -520,8 +517,16 @@ def add_language(
     trainable = None
     if not finetune_all:
         trainable = {name for name in system.named_parameters() if name.startswith(f"{new.language}/")}
-    state = TrainState()
-    train(system, state, corpus, run_cfg, log_fn=log_fn, trainable=trainable)
+    return run_cfg, trainable
+
+
+def add_language(
+    system: System, new: LanguageModule, corpus: ParallelCorpus, cfg: TrainConfig,
+    log_fn: Callable[[dict], None] | None = None, finetune_all: bool = False, warm_start: bool = True,
+) -> tuple[System, TrainState]:
+    """``attach_language``, then ``train`` the result from step 0."""
+    run_cfg, trainable = attach_language(system, new, corpus, cfg, finetune_all, warm_start)
+    state = train(system, TrainState(), corpus, run_cfg, log_fn=log_fn, trainable=trainable)
     return system, state
 
 
@@ -555,7 +560,7 @@ def save_checkpoint(
         "step": state.step,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         write_header(fh, _CHECKPOINT_LEAD, header)
         for _, arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())

@@ -127,6 +127,17 @@ class TestPrepare:
         assert "unchanged" in out
         assert (out_dir(project) / "manifest.json").read_bytes() == manifest_before
 
+    def test_older_artifact_format_triggers_rebuild(self, project, capsys):
+        assert run(capsys, "prepare", "--config", str(project))[0] == 0
+        manifest = out_dir(project) / "manifest.json"
+        record = json.loads(manifest.read_text(encoding="utf-8"))
+        assert record["settings"].pop("format") == 2
+        manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "prepare", "--config", str(project))
+        assert code == 0
+        assert "unchanged" not in out and "kept" in out
+        assert json.loads(manifest.read_text(encoding="utf-8"))["settings"]["format"] == 2
+
     def test_input_change_triggers_rebuild(self, project, capsys):
         assert run(capsys, "prepare", "--config", str(project))[0] == 0
         extra = "taru mesi konda"
@@ -366,13 +377,22 @@ class TestTrain:
 
     def test_periodic_checkpoints(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
-        code, _, _ = run(
-            capsys, "train", "--config", str(project), "--set", "train.checkpoint_every=2"
-        )
+        every = ("--set", "train.checkpoint_every=2")
+        code, _, _ = run(capsys, "train", "--config", str(project), *every)
         assert code == 0
         run_dir = out_dir(project)
-        assert (run_dir / "checkpoint-000002.ckpt").is_file()
-        assert (run_dir / "checkpoint-000004.ckpt").is_file()
+        periodic = {f"checkpoint-{step:06d}.ckpt" for step in (2, 4, 6)}
+        assert {p.name for p in run_dir.glob("checkpoint-0*.ckpt")} == periodic
+        before = {name: (run_dir / name).read_bytes() for name in periodic}
+        # add-language runs through the same driver, under its own names
+        code, out, err = run(capsys, "add-language", "--config", str(project), *every)
+        assert code == 0, err
+        assert "step 1: loss" in out
+        extended = {p.name for p in run_dir.glob("checkpoint-extended-*.ckpt")}
+        assert extended == {f"checkpoint-extended-{step:06d}.ckpt" for step in (2, 4, 6)}
+        _, state, cfg = load_checkpoint(run_dir / "checkpoint-extended-000004.ckpt")
+        assert state.step == 4 and cfg.loss_weights[0] == 0.0
+        assert {name: (run_dir / name).read_bytes() for name in periodic} == before
 
     def test_lock_blocks_concurrent_training(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
@@ -407,7 +427,10 @@ class TestTrain:
             config = make_project(root)
             run(capsys, "prepare", "--config", str(config))
             assert run(capsys, "train", "--config", str(config))[0] == 0
-            checkpoints.append((root / "run" / "checkpoint-final.ckpt").read_bytes())
+            assert run(capsys, "add-language", "--config", str(config))[0] == 0
+            checkpoints.append([
+                (root / "run" / name).read_bytes() for name in ("checkpoint-final.ckpt", "checkpoint-extended.ckpt")
+            ])
         assert checkpoints[0] == checkpoints[1]
 
     def test_divergence_aborts_with_breakdown(self, project, capsys):

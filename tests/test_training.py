@@ -522,6 +522,41 @@ class TestCheckpoint:
         save_checkpoint(loaded, loaded_state, second, train_config=loaded_cfg)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_failed_save_keeps_the_previous_file(self, toy_corpus, tmp_path):
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        state = train(system, TrainState(), corpus, fast_train_config(max_steps=1))
+        saves = tmp_path / "saves"
+        saves.mkdir()
+        ckpt, binary = saves / "model.ckpt", saves / "corpus.bin"
+        save_checkpoint(system, state, ckpt)
+        D.save_corpus(corpus, binary)
+        before = {path: path.read_bytes() for path in (ckpt, binary)}
+
+        class Unwritable:
+            """Sized for the header; fails when its bytes are due."""
+
+            shape = (1,)
+
+            def __len__(self):
+                return 1
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        # the last arrays of each file, so the failure comes partway through
+        state.moments[next(iter(state.moments))] = (Unwritable(), Unwritable())
+        lang_y = corpus.languages[1]
+        damaged = D.ParallelCorpus(
+            corpus.languages, {**corpus.sequences, lang_y: [Unwritable()]}, corpus.provenance
+        )
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(system, state, ckpt)
+        with pytest.raises(OSError, match="disk full"):
+            D.save_corpus(damaged, binary)
+        assert {path: path.read_bytes() for path in (ckpt, binary)} == before
+        assert sorted(p.name for p in saves.iterdir()) == ["corpus.bin", "model.ckpt"]
+
     def test_vocabulary_hash_mismatch_is_rejected(self, toy_corpus, tmp_path):
         corpus, vocabs, _, _ = toy_corpus
         system = small_system(vocabs)
