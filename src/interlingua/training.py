@@ -468,7 +468,7 @@ VOCAB_INDEXED_PARAMS = ("emb", "out_proj")
 
 def attach_language(
     system: System, new: LanguageModule, corpus: ParallelCorpus, cfg: TrainConfig,
-    finetune_all: bool = False, warm_start: bool = True,
+    finetune_all: bool, warm_start: bool,
 ) -> tuple[TrainConfig, set[str] | None]:
     """Attach a new language to train against one frozen pretrained side.
 
@@ -480,7 +480,7 @@ def attach_language(
     trains, so every pretrained parameter (codebook included) stays
     bit-identical.
 
-    With ``warm_start`` (the default) the new module's attention, feed
+    With ``warm_start`` the new module's attention, feed
     forward and normalization weights start as copies of the anchor
     module's trained values; only the vocabulary-indexed tables (token
     embeddings, output projection) keep their fresh initialization. A new
@@ -522,11 +522,11 @@ def attach_language(
 
 def add_language(
     system: System, new: LanguageModule, corpus: ParallelCorpus, cfg: TrainConfig,
-    log_fn: Callable[[dict], None] | None = None, finetune_all: bool = False, warm_start: bool = True,
+    finetune_all: bool = False, warm_start: bool = True,
 ) -> tuple[System, TrainState]:
     """``attach_language``, then ``train`` the result from step 0."""
     run_cfg, trainable = attach_language(system, new, corpus, cfg, finetune_all, warm_start)
-    state = train(system, TrainState(), corpus, run_cfg, log_fn=log_fn, trainable=trainable)
+    state = train(system, TrainState(), corpus, run_cfg, trainable=trainable)
     return system, state
 
 
