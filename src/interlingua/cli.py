@@ -475,8 +475,10 @@ def cmd_train(args) -> int:
 
     with OutputLock(out):
         if args.resume:
-            # the current config stays authoritative; the checkpoint supplies
-            # parameters, optimizer moments, and the step counter
+            # the current [train] settings stay authoritative, except that the
+            # checkpoint supplies the model and its codebook (so train.quantize
+            # and vq_* shape a fresh system only), parameters, optimizer
+            # moments, and the step counter
             resumed = require_file(final, "train first or drop --resume")
             system, state, _ = load_checkpoint(resumed, expected_vocab_hashes=hashes)
             if state.step >= train_cfg.max_steps:
@@ -603,12 +605,10 @@ def cmd_interlingua_eval(args) -> int:
 def cmd_viz(args) -> int:
     cp, base, out = preamble(args)
     system, _ = load_system(args, out, language_pair(cp))
-    seed = setting(cp, "train", "seed", int)
-
     for split in args.split or ["train"]:
         dump = export_embeddings(system, load_corpus(cp, out, split))
         save_dump(dump, out / f"embeddings-{split}.tsv")
-        proj = pca_project(dump, seed=seed)
+        proj = pca_project(dump)
         svg = out / f"viz-{split}.svg"
         render_scatter(proj, svg, pair_lines=args.pair_lines)
         lam1, lam2 = proj.explained_variance
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--resume", action="store_true", help="continue from the final checkpoint")
     p.add_argument("--distance", choices=["corr", "max", "none"], help="latent distance term")
-    p.add_argument("--dvq", action="store_true", help="quantize the latent with the codebook")
+    p.add_argument("--dvq", action="store_true", help="give a fresh system a codebook that quantizes the latent")
     p.add_argument("--steps", type=int, help="override train.max_steps")
     p.set_defaults(func=cmd_train)
 

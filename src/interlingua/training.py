@@ -24,6 +24,7 @@ from .exceptions import (
     CheckpointError,
     CompatibilityError,
     ConfigError,
+    ContractError,
     DivergenceError,
 )
 from .latent import COMMITMENT_BETA, Codebook, corr_distance, init_codebook, max_distance, pool, quantize, stack_latents
@@ -61,6 +62,8 @@ class TrainConfig:
     batch_size: int = 16
     max_steps: int = 1000
     distance_mode: str = "corr"
+    # the codebook of a fresh system (build_system); training quantizes
+    # whenever the system it trains has a codebook
     quantize: bool = False
     vq_tables: int = 4
     vq_entries: int = 64
@@ -111,14 +114,20 @@ class System:
         return tuple(self.modules)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for lang, module in self.modules.items():
-            for name, t in module.params.items():
-                out[f"{lang}/{name}"] = t
-        if self.codebook is not None:
-            for j, table in enumerate(self.codebook.tables):
-                out[f"codebook/{j}"] = table
-        return out
+        return {name: t for part in self.parameter_parts() for name, t in part.items()}
+
+    def parameter_parts(self, languages: set[str] | None = None) -> list[dict[str, Tensor]]:
+        """The named parameters of each module of ``languages`` (every
+        module when None), then of the codebook when ``languages`` is None.
+        Each part's tensors are the consecutive views of one buffer."""
+        parts = [
+            {f"{lang}/{name}": t for name, t in module.params.items()}
+            for lang, module in self.modules.items()
+            if languages is None or lang in languages
+        ]
+        if languages is None and self.codebook is not None:
+            parts.append({f"codebook/{j}": table for j, table in enumerate(self.codebook.tables)})
+        return parts
 
     def parameter_hash(self) -> str:
         import hashlib
@@ -208,14 +217,14 @@ def joint_loss(
     distance term compares pooled pre-quantization latents. Returns the
     scalar total and a float breakdown whose weighted sum reproduces the
     total exactly; the breakdown always carries a measured correlation
-    distance diagnostic, whatever the configured mode. Dropout (at the
-    model's rate) applies only when ``dropout_rng`` is given.
+    distance diagnostic, whatever the configured mode. The latents are
+    quantized, adding the codebook term ``vq``, exactly when the system
+    has a codebook. Dropout (at the model's rate) applies only when
+    ``dropout_rng`` is given.
     """
     for lang in (batch.lang_x, batch.lang_y):
         if lang not in system.modules:
             raise CompatibilityError(f"batch language {lang!r} not in system {system.languages}")
-    if cfg.quantize and system.codebook is None:
-        raise ConfigError("quantization enabled but the system has no codebook")
     mx, my = system.modules[batch.lang_x], system.modules[batch.lang_y]
     mask_x, mask_y = pad_mask(batch.x), pad_mask(batch.y)
 
@@ -226,7 +235,7 @@ def joint_loss(
     pooled_y = pool(hy, mask_y)
 
     vq = None
-    if cfg.quantize:
+    if system.codebook is not None:
         dec_x, _, code_x, commit_x = quantize(system.codebook, hx)
         dec_y, _, code_y, commit_y = quantize(system.codebook, hy)
         vq = T.add(
@@ -321,23 +330,20 @@ def train_step(
 ) -> dict:
     """One forward/backward/Adam cycle; mutates state and system in place.
 
-    ``trainable`` restricts which named parameters receive updates; frozen
-    parameters still participate in the forward pass as constants, so
-    gradients flow through them to trainable ancestors.
+    ``trainable`` names the language modules that receive updates; None
+    trains every module and the codebook. Frozen parameters still take
+    part in the forward pass as constants, so gradients flow through them
+    to trainable ancestors.
     """
     t0 = time.perf_counter()
-    params = system.named_parameters()
-    if trainable is None:
-        names = list(params)
-    else:
-        unknown = trainable - set(params)
-        if unknown:
-            raise ConfigError(f"unknown trainable parameters: {sorted(unknown)}")
-        names = [n for n in params if n in trainable]
+    if trainable is not None and not trainable <= set(system.modules):
+        raise ConfigError(f"unknown trainable languages: {sorted(trainable - set(system.modules))}")
+    parts = system.parameter_parts(trainable)
     tape = GradTape()
     try:
-        for n in names:
-            tape.watch(params[n])
+        for part in parts:
+            for t in part.values():
+                tape.watch(t)
         # stateless masks keyed like the batch draw, so resume stays exact
         dropout_rng = derive_rng(cfg.seed, "dropout", state.step)
         loss, components = joint_loss(batch, system, cfg, dropout_rng)
@@ -351,10 +357,10 @@ def train_step(
         # allocation per run: freeing a block that large every step raises
         # glibc's mmap threshold, and the heap then keeps tens of MB of
         # freed arrays resident (about 50 MB more peak RSS at d_model 128)
-        _, buffers = _adam_layout(state, params, names)
+        _, buffers = _adam_layout(state, parts)
         grads = backward(loss, out=buffers[0])
         state.step += 1
-        _adam_update(state, params, names, grads, cfg)
+        _adam_update(state, parts, grads, cfg)
     finally:
         tape.release()
     components["loss"] = loss_value
@@ -364,11 +370,11 @@ def train_step(
     return components
 
 
-def _adam_update(state, params, names, grads, cfg: TrainConfig):
-    """One Adam step over every trained parameter, chunk by chunk.
+def _adam_update(state, parts, grads, cfg: TrainConfig):
+    """One Adam step over every trained part's buffer, chunk by chunk.
 
-    ``grads`` must come from a tape that watched exactly ``names``, in
-    that order, so ``grads.flat`` and the moments share one layout.
+    ``grads`` must come from a tape that watched the tensors of ``parts``
+    in order, so ``grads.flat`` and the moments share one layout.
     Each chunk evaluates the per-array update ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g^2``, ``p -= lr (m / bias1) / (sqrt(v / bias2)
     + eps)`` operation by operation, so the result is the same bits.
@@ -377,7 +383,7 @@ def _adam_update(state, params, names, grads, cfg: TrainConfig):
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    runs, buffers = _adam_layout(state, params, names)
+    runs, buffers = _adam_layout(state, parts)
     scratch = np.empty((2, ADAM_CHUNK))
     for flat_p, lo, hi in runs:
         for start in range(lo, hi, ADAM_CHUNK):
@@ -401,48 +407,37 @@ def _adam_update(state, params, names, grads, cfg: TrainConfig):
             p -= b
 
 
-def _adam_layout(state, params, names):
-    """The runs of trained parameters that are adjacent in one buffer, as
-    (flat view of the run, start, end in the gradient layout), and one
-    [3, n] buffer in that layout: gradients, first and second moments.
+def _adam_layout(state, parts):
+    """Each part's buffer as (flat buffer, start, end in the gradient
+    layout), and one [3, n] buffer in that layout: gradients, first and
+    second moments.
 
     Built once for a set of trained tensors and kept on the state. The
     build copies any moments the state already holds (from earlier steps
     or a checkpoint) into the buffer and points ``state.moments`` at it.
     """
-    tensors = [params[n] for n in names]
+    tensors = [t for part in parts for t in part.values()]
     if state._adam is not None and state._adam[0] == tensors:
         return state._adam[1:]
     buffers = np.zeros((3, sum(t.array.size for t in tensors)))
     runs = []
     lo = 0
-    for n, t in zip(names, tensors):
-        hi = lo + t.array.size
-        m, v = buffers[1, lo:hi].reshape(t.shape), buffers[2, lo:hi].reshape(t.shape)
-        if n in state.moments:
-            m[...], v[...] = state.moments[n]
-        state.moments[n] = (m, v)
-        joined = _joined(runs[-1][0], t.array) if runs else None
-        if joined is None:
-            runs.append((t.array.reshape(-1), lo, hi))
-        else:
-            runs[-1] = (joined, runs[-1][1], hi)
-        lo = hi
+    for part in parts:
+        flat = next(iter(part.values())).array.base
+        start = lo
+        for n, t in part.items():
+            hi = lo + t.array.size
+            m, v = buffers[1, lo:hi].reshape(t.shape), buffers[2, lo:hi].reshape(t.shape)
+            if n in state.moments:
+                m[...], v[...] = state.moments[n]
+            state.moments[n] = (m, v)
+            lo = hi
+        # a part's tensors fill one flat buffer in order (tensors_in_one_buffer)
+        if flat is None or flat.size != lo - start or any(t.array.base is not flat for t in part.values()):
+            raise ContractError(f"{', '.join(part)} are not the views of one buffer")
+        runs.append((flat, start, lo))
     state._adam = (tensors, runs, buffers)
     return runs, buffers
-
-
-def _joined(run: np.ndarray, a: np.ndarray) -> np.ndarray | None:
-    """The flat view ``run`` extended by ``a`` if ``a`` starts where
-    ``run`` ends in the same contiguous 1-D buffer, else None."""
-    base = a.base
-    if not (isinstance(base, np.ndarray) and base is run.base and base.ndim == 1 and base.flags.c_contiguous):
-        return None
-    start, end = run.__array_interface__["data"][0], a.__array_interface__["data"][0]
-    if start + run.nbytes != end:
-        return None
-    offset = (start - base.__array_interface__["data"][0]) // base.itemsize
-    return base[offset : offset + run.size + a.size]
 
 
 def train(
@@ -473,7 +468,7 @@ def attach_language(
     """Attach a new language to train against one frozen pretrained side.
 
     The corpus pairs an existing language with the new one. Returns the
-    config and the trainable names (None for all) to train with. The
+    config and the trainable languages (None for all) to train with. The
     config keeps the new language's reconstruction, both cross
     translations and the distance term, and weights out the pretrained
     module's own. Unless ``finetune_all`` is set, only the new module
@@ -514,10 +509,7 @@ def attach_language(
     system.modules[new.language] = new
     w = cfg.loss_weights
     run_cfg = replace(cfg, loss_weights=(0.0, w[1], w[2], w[3], w[4]))
-    trainable = None
-    if not finetune_all:
-        trainable = {name for name in system.named_parameters() if name.startswith(f"{new.language}/")}
-    return run_cfg, trainable
+    return run_cfg, None if finetune_all else {new.language}
 
 
 def add_language(

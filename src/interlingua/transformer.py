@@ -208,12 +208,12 @@ def _maybe_dropout(x, rate: float, rng):
     return x
 
 
-def _embed(module: LanguageModule, tok: np.ndarray, mask: np.ndarray, start: int = 0):
+def _embed(module: LanguageModule, tok: np.ndarray, mask: np.ndarray):
     """Packed rows [N, d] of the real tokens (the True entries of ``mask``):
-    scaled embeddings plus the position ``start + column`` of each."""
+    scaled embeddings plus the position of each, its column."""
     if not mask.any():
         raise DegenerateBatchError("every position of the batch is padding")
-    cols = np.nonzero(mask)[1] + start
+    cols = np.nonzero(mask)[1]
     return T.embedding(module.params["emb"], tok[mask], math.sqrt(module.config.d_model), module._pe[cols])
 
 

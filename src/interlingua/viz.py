@@ -1,6 +1,7 @@
 """Export pooled sentence vectors and draw a 2D projection of them.
 
-The projection is plain PCA computed by power iteration with deflation.
+The projection is plain PCA: the top two eigenpairs of the covariance
+from one symmetric eigensolver call.
 A linear map is enough to eyeball whether the two languages' sentence
 vectors occupy one shared region or two separate clusters, and unlike
 the fancier neighborhood embeddings it is deterministic and cheap. The
@@ -19,11 +20,10 @@ import numpy as np
 from .data import ParallelCorpus
 from .exceptions import CompatibilityError, ContractError
 from .latent import pool
-from .seeding import derive_rng
 from .training import System, _pad_rows
 from .transformer import encode, pad_mask
 
-PROJECTION_METHOD = "pca-power-iteration"
+PROJECTION_METHOD = "pca-eigh"
 
 # colorblind-safe qualitative palette; the first two are the canonical pair
 PALETTE = ("#1b9e77", "#d95f02", "#7570b3", "#e7298a", "#66a61e", "#e6ab02")
@@ -32,9 +32,6 @@ SVG_WIDTH = 640
 SVG_HEIGHT = 480
 SVG_MARGIN = 56.0
 POINT_RADIUS = 4.0
-
-POWER_ITERATIONS = 500
-POWER_TOL = 1e-14
 
 
 @dataclass
@@ -115,49 +112,24 @@ def load_dump(path) -> EmbeddingDump:
     return EmbeddingDump(dim=dim, model_hash=model_hash, rows=rows)
 
 
-def _top_eigenvector(cov: np.ndarray, start: np.ndarray, orthogonal_to=None):
-    """Dominant eigenpair by power iteration, optionally within a complement."""
-    v = start / np.linalg.norm(start)
-    if orthogonal_to is not None:
-        v = v - (v @ orthogonal_to) * orthogonal_to
-        v /= np.linalg.norm(v)
-    for _ in range(POWER_ITERATIONS):
-        w = cov @ v
-        if orthogonal_to is not None:
-            w = w - (w @ orthogonal_to) * orthogonal_to
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break  # no variance left in this subspace
-        w /= norm
-        if np.linalg.norm(w - v) < POWER_TOL:
-            v = w
-            break
-        v = w
-    # deterministic orientation: the largest-magnitude entry points up
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    value = float(v @ cov @ v)
-    return v, max(value, 0.0)
-
-
-def _principal_axes(dump: EmbeddingDump, seed: int):
+def _principal_axes(dump: EmbeddingDump):
     if len(dump.rows) < 3:
         raise ContractError(f"projection needs at least 3 rows, got {len(dump.rows)}")
     x = np.stack([vec for _, _, vec in dump.rows]).astype(np.float64)
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
-    rng = derive_rng(seed, "projection")
-    start1 = rng.standard_normal(x.shape[1])
-    start2 = rng.standard_normal(x.shape[1])
-    v1, lam1 = _top_eigenvector(cov, start1)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2, lam2 = _top_eigenvector(deflated, start2, orthogonal_to=v1)
-    return centered, np.stack([v1, v2]), (lam1, lam2), float(np.trace(cov))
+    values, vectors = np.linalg.eigh(cov)  # ascending eigenvalues
+    top = [-1, -2]
+    axes = vectors[:, top].T
+    # deterministic orientation: each axis's largest-magnitude entry is positive
+    axes *= np.sign(axes[[0, 1], np.argmax(np.abs(axes), axis=1)])[:, None]
+    variances = tuple(max(float(v), 0.0) for v in values[top])
+    return centered, axes, variances, float(np.trace(cov))
 
 
-def pca_project(dump: EmbeddingDump, seed: int = 0) -> Projection2D:
+def pca_project(dump: EmbeddingDump) -> Projection2D:
     """Top-2 principal components of the mean-centered vectors."""
-    centered, axes, variances, total = _principal_axes(dump, seed)
+    centered, axes, variances, total = _principal_axes(dump)
     coords = centered @ axes.T
     rows = [
         (lang, idx, float(coords[i, 0]), float(coords[i, 1]))
@@ -171,9 +143,9 @@ def pca_project(dump: EmbeddingDump, seed: int = 0) -> Projection2D:
     )
 
 
-def projection_components(dump: EmbeddingDump, seed: int = 0) -> np.ndarray:
+def projection_components(dump: EmbeddingDump) -> np.ndarray:
     """The two principal axes themselves, for reconstruction checks."""
-    return _principal_axes(dump, seed)[1]
+    return _principal_axes(dump)[1]
 
 
 def language_silhouette(proj: Projection2D) -> float:

@@ -227,7 +227,7 @@ def padded_joint_loss(batch, system, cfg):
     from interlingua.training import shift_targets
     from interlingua.transformer import pad_mask
 
-    assert not cfg.quantize, "the padded oracle has no quantizer"
+    assert system.codebook is None, "the padded oracle has no quantizer"
     mx, my = system.modules[batch.lang_x], system.modules[batch.lang_y]
     mask_x, mask_y = pad_mask(batch.x), pad_mask(batch.y)
     hx, hy = padded_encode(mx, batch.x), padded_encode(my, batch.y)
@@ -252,7 +252,7 @@ def padded_joint_loss(batch, system, cfg):
     return total, {name: term.item() for name, term in zip(names, terms)}
 
 
-def reference_adam_update(state, params, names, grads, cfg):
+def reference_adam_update(state, parts, grads, cfg):
     """``training._adam_update`` one parameter array at a time, out of place.
 
     Same signature, same arithmetic in the same order; each parameter's
@@ -262,16 +262,16 @@ def reference_adam_update(state, params, names, grads, cfg):
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for n in names:
-        p = params[n]
-        g = grads[p]
-        m, v = state.moments.get(n, (np.zeros(p.shape), np.zeros(p.shape)))
-        m = m * b1
-        m = m + (1.0 - b1) * g
-        v = v * b2
-        v = v + (1.0 - b2) * (g * g)
-        state.moments[n] = (m, v)
-        p.array -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+    for part in parts:
+        for n, p in part.items():
+            g = grads[p]
+            m, v = state.moments.get(n, (np.zeros(p.shape), np.zeros(p.shape)))
+            m = m * b1
+            m = m + (1.0 - b1) * g
+            v = v * b2
+            v = v + (1.0 - b2) * (g * g)
+            state.moments[n] = (m, v)
+            p.array -= cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,27 @@ class TestTrain:
             ])
         assert checkpoints[0] == checkpoints[1]
 
+    def test_resume_follows_the_checkpoint_codebook(self, tmp_path, capsys):
+        # --dvq shapes a fresh system only: resumed without it, a quantized
+        # run keeps training its codebook and lands on the straight run
+        hashes = []
+        for name, runs in (
+            ("straight", [("--dvq", "--steps", "6")]),
+            ("resumed", [("--dvq", "--steps", "3"), ("--resume", "--steps", "6")]),
+        ):
+            root = tmp_path / name
+            root.mkdir()
+            config = make_project(root)
+            run(capsys, "prepare", "--config", str(config))
+            for flags in runs:
+                code, _, err = run(capsys, "train", "--config", str(config), *flags)
+                assert code == 0, err
+            log_lines = (out_dir(config) / "train-log.jsonl").read_text().splitlines()
+            assert len(log_lines) == 6 and all("vq" in json.loads(line) for line in log_lines)
+            system, _, _ = load_checkpoint(out_dir(config) / "checkpoint-final.ckpt")
+            hashes.append(system.parameter_hash())
+        assert hashes[0] == hashes[1]
+
     def test_divergence_aborts_with_breakdown(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
         assert run(capsys, "train", "--config", str(project))[0] == 0
@@ -724,6 +745,15 @@ class TestAddLanguage:
         ext_params = ext_system.named_parameters()
         for name, tensor in base_params.items():
             assert np.array_equal(tensor.array, ext_params[name].array), name
+
+    def test_extension_of_a_dvq_checkpoint_is_quantized(self, project, capsys):
+        # add-language has no --dvq flag: the checkpoint's codebook decides
+        run(capsys, "prepare", "--config", str(project))
+        assert run(capsys, "train", "--config", str(project), "--dvq")[0] == 0
+        code, _, err = run(capsys, "add-language", "--config", str(project))
+        assert code == 0, err
+        log_lines = (out_dir(project) / "extend-log.jsonl").read_text().splitlines()
+        assert len(log_lines) == 6 and all("vq" in json.loads(line) for line in log_lines)
 
     def test_requires_new_language_name(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))

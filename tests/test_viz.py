@@ -185,7 +185,7 @@ class TestProjection:
 
     def test_method_tag_is_honest(self):
         rng = np.random.default_rng(3)
-        assert pca_project(two_cluster_dump(rng)).method == "pca-power-iteration"
+        assert pca_project(two_cluster_dump(rng)).method == "pca-eigh"
 
 
 class TestSilhouette:
