@@ -356,6 +356,12 @@ def run_training(
     ``checkpoint_every`` steps and progress on step 1 and every 50th.
     Returns the final checkpoint, saved at the end."""
     log_name, periodic, final = RUN_FILES[command]
+    # checkpoints record the codebook the system trains with: a resumed or
+    # extended system brings its checkpoint's, whatever train.quantize says
+    cb = system.codebook
+    cfg = dataclasses.replace(cfg, quantize=cb is not None)
+    if cb is not None:
+        cfg = dataclasses.replace(cfg, vq_tables=cb.n_tables, vq_entries=cb.entries)
 
     def after_step(report: dict):
         log.write(json.dumps(report, sort_keys=True) + "\n")
@@ -383,12 +389,14 @@ def load_vocabs(out: Path, languages) -> dict[str, D.Vocabulary]:
 
 
 def load_corpus(cp, out: Path, split: str) -> D.ParallelCorpus:
-    """One prepared split, checked against the configured language pair."""
+    """One prepared split, checked against the configured language pair and for pairs."""
     hint = "configure data.test_x/test_y and run prepare" if split == "test" else "run prepare first"
     corpus = D.read_corpus(require_file(corpus_path(out, split), hint))
     pair = language_pair(cp)
     if corpus.languages != pair:
         raise ConfigError(f"prepared corpus pairs {corpus.languages}, config names {pair}; run prepare")
+    if len(corpus) == 0:
+        raise ConfigError(f"the prepared {split} split holds no pairs; see data.max_words and model.max_len")
     return corpus
 
 

@@ -28,7 +28,6 @@ from .transformer import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID
 # characters split off as standalone tokens; '@' stays word-internal so
 # segmented text survives re-tokenization
 PUNCTUATION = ".,!?;:()[]{}\"'"
-_SPACE_PUNCTUATION = str.maketrans({ch: f" {ch} " for ch in PUNCTUATION})
 
 CONTINUE_MARK = "@@"
 
@@ -38,7 +37,13 @@ CORPUS_VERSION = 1
 
 def tokenize(line: str) -> list[str]:
     """Lowercased word tokens with punctuation separated out."""
-    return line.strip().lower().translate(_SPACE_PUNCTUATION).split()
+    line = line.strip().lower()
+    # str.replace per mark present: str.translate with a multi-character
+    # table takes a per-character slow path, about twice the time
+    for c in PUNCTUATION:
+        if c in line:
+            line = line.replace(c, f" {c} ")
+    return line.split()
 
 
 def word_counts(lines) -> Counter:

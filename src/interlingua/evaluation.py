@@ -16,7 +16,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from . import tensor as T
 from .data import ParallelCorpus, Vocabulary, detokenize, reverse_bpe
 from .exceptions import CompatibilityError, ConfigError, ContractError
 from .latent import quantize, stack_latents
@@ -123,23 +122,18 @@ def bleu(hypotheses, references) -> BleuReport:
 def _encode_for_decoding(system: System, lang: str, tokens):
     """Packed encoder rows of the real positions and the [B, T] key mask,
     quantized when the system carries a codebook."""
-    h = encode(system.modules[lang], tokens, packed=True)
+    h = encode(system.modules[lang], tokens)
     if system.codebook is not None:
         h, _, _, _ = quantize(system.codebook, h)
     return h, pad_mask(tokens)
-
-
-def _greedy(system: System, decoder_lang: str, side) -> list[list[int]]:
-    """Greedy-decode one (packed rows, mask) side through ``decoder_lang``."""
-    rows, mask = side
-    return greedy_decode(system.modules[decoder_lang], T.unpack(rows, mask), mask, system.config.max_len)
 
 
 def decode_corpus_side(
     system: System, decoder_lang: str, encoder_lang: str, tokens, vocab: Vocabulary
 ) -> list[list[str]]:
     """Greedy-decode padded token rows through one encoder/decoder pairing."""
-    decoded = _greedy(system, decoder_lang, _encode_for_decoding(system, encoder_lang, tokens))
+    rows, mask = _encode_for_decoding(system, encoder_lang, tokens)
+    decoded = greedy_decode(system.modules[decoder_lang], rows, mask, system.config.max_len)
     return [vocab.decode(ids) for ids in decoded]
 
 
@@ -170,8 +164,9 @@ def interlingua_eval(
     reports = []
     for decoder_lang, other in (corpus.languages, corpus.languages[::-1]):
         vocab = vocabs[decoder_lang]
-        stacked = stack_latents(sides[decoder_lang], sides[other])
-        decoded = [vocab.decode(ids) for ids in _greedy(system, decoder_lang, stacked)]
+        rows, mask = stack_latents(sides[decoder_lang], sides[other])
+        ids = greedy_decode(system.modules[decoder_lang], rows, mask, system.config.max_len)
+        decoded = [vocab.decode(row) for row in ids]
         auto, translated = decoded[: len(corpus)], decoded[len(corpus) :]
         refs = [vocab.decode(row) for row in corpus.sequences[decoder_lang]]
         reports.append(InterlinguaReport(

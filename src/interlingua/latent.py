@@ -29,14 +29,11 @@ COMMITMENT_BETA = 0.25
 def pool(raw: Tensor, pad_mask) -> Tensor:
     """Mean over non-pad time steps, per sentence.
 
-    ``raw`` is either padded states [B, T, D] or the packed rows [N, D] of
-    the mask's real positions in row-major order, as
-    ``encode(..., packed=True)`` returns them.
+    ``raw`` is the packed rows [N, D] of the [B, T] mask's real positions
+    in row-major order, as ``encode`` returns them.
     """
     mask = np.asarray(pad_mask, dtype=bool)
-    if raw.ndim == 3 and mask.shape == raw.shape[:2]:
-        raw = T.pack(raw, mask)
-    elif not (raw.ndim == 2 and mask.ndim == 2 and raw.shape[0] == mask.sum()):
+    if not (raw.ndim == 2 and mask.ndim == 2 and raw.shape[0] == mask.sum()):
         raise ShapeError(f"raw {raw.shape} and mask {mask.shape} do not align")
     counts = mask.sum(axis=1)
     if np.any(counts == 0):
@@ -48,11 +45,10 @@ def pool(raw: Tensor, pad_mask) -> Tensor:
 def stack_latents(own, partner) -> tuple[Tensor, np.ndarray]:
     """Two latents as one batch of 2B sentences, for a single decoder pass.
 
-    Each side is (packed rows [N, D], [B, T] mask) as
-    ``encode(..., packed=True)`` returns them. The rows are concatenated
-    and the masks padded with False to the wider width S and stacked to
-    [2B, S], so the stack's packed order is the own rows, then the
-    partner's. A padded column is masked in cross attention and gets
+    Each side is a latent, (packed rows [N, D], [B, T] mask), as
+    ``encode`` gives it. The rows are concatenated and the masks padded
+    with False to the wider width S and stacked to [2B, S], so the
+    stack's packed order is the own rows, then the partner's. A padded column is masked in cross attention and gets
     exactly zero weight, so each sentence decodes as it would alone.
     """
     (rows_a, mask_a), (rows_b, mask_b) = own, partner

@@ -550,17 +550,12 @@ def segment_mean(x, counts) -> Tensor:
     return _make(out, (x, lambda g: np.repeat(g * inv, counts, axis=0)))
 
 
-def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
-    """[B, T, d] to a [B, h, T, d / h] view, one slice per head."""
-    b, t, d = x.shape
-    return x.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
-
-
 def _heads(rows: np.ndarray, mask: np.ndarray, num_heads: int) -> np.ndarray:
     """Packed rows [N, d] of ``mask``'s True entries as zero-padded heads [B, h, T, d / h]."""
-    dense = np.zeros(mask.shape + rows.shape[-1:])
+    (b, t), d = mask.shape, rows.shape[-1]
+    dense = np.zeros((b, t, d))
     dense[mask] = rows
-    return split_heads(dense, num_heads)
+    return dense.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
 def _rows(heads: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -229,8 +229,8 @@ def joint_loss(
     mask_x, mask_y = pad_mask(batch.x), pad_mask(batch.y)
 
     # every position-wise op runs on the packed rows of the real positions
-    hx = encode(mx, batch.x, dropout_rng, packed=True)
-    hy = encode(my, batch.y, dropout_rng, packed=True)
+    hx = encode(mx, batch.x, dropout_rng)
+    hy = encode(my, batch.y, dropout_rng)
     pooled_x = pool(hx, mask_x)
     pooled_y = pool(hy, mask_y)
 

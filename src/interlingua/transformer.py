@@ -217,12 +217,11 @@ def _embed(module: LanguageModule, tok: np.ndarray, mask: np.ndarray):
     return T.embedding(module.params["emb"], tok[mask], math.sqrt(module.config.d_model), module._pe[cols])
 
 
-def encode(module: LanguageModule, tokens, dropout_rng=None, packed: bool = False) -> Tensor:
-    """Per-token states [B, T, d_model]; pad positions read 0 and never influence real ones.
-
-    Only the real positions are computed, as packed rows in row-major
-    order of ``pad_mask(tokens)``; with ``packed`` those rows [N, d_model]
-    are returned instead of being spread back to [B, T].
+def encode(module: LanguageModule, tokens, dropout_rng=None) -> Tensor:
+    """The latent of ``tokens``: states [N, d_model] of the real positions
+    only, the rows of ``pad_mask(tokens)`` in row-major order. Pad
+    positions are never computed and never influence real ones; the mask
+    travels with the rows to any decoder.
     """
     cfg = module.config
     tok = _check_tokens(module, tokens, "source")
@@ -236,25 +235,20 @@ def encode(module: LanguageModule, tokens, dropout_rng=None, packed: bool = Fals
         x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, mask, mask, bias, cfg.num_heads), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln2.", x)
         x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
-    x = _ln(p, "enc.final.", x)
-    return x if packed else T.unpack(x, mask)
+    return _ln(p, "enc.final.", x)
 
 
-def _check_latent(module: LanguageModule, latent, src_mask, packed: bool = False) -> tuple[Tensor, np.ndarray]:
-    """The latent as a Tensor and its source mask, checked against the decoder.
-
-    A padded latent is [B, S, d_model]; a packed one holds the rows
-    [N, d_model] of the mask's real positions.
-    """
+def _check_latent(module: LanguageModule, latent, src_mask) -> tuple[Tensor, np.ndarray]:
+    """The latent rows [N, d_model] as a Tensor and their [B, S] source
+    mask, checked against the decoder: one row per True mask entry."""
     cfg = module.config
     la = latent if isinstance(latent, Tensor) else Tensor(latent)
-    if la.ndim != (2 if packed else 3) or la.shape[-1] != cfg.d_model:
+    if la.ndim != 2 or la.shape[-1] != cfg.d_model:
         raise CompatibilityError(
             f"latent shape {la.shape} incompatible with d_model {cfg.d_model}"
         )
     src_mask = np.asarray(src_mask, dtype=bool)
-    covered = src_mask.ndim == 2 and (la.shape[0] == src_mask.sum() if packed else src_mask.shape == la.shape[:2])
-    if not covered:
+    if src_mask.ndim != 2 or la.shape[0] != src_mask.sum():
         raise CompatibilityError(f"source mask {src_mask.shape} does not cover latent {la.shape}")
     return la, src_mask
 
@@ -262,16 +256,17 @@ def _check_latent(module: LanguageModule, latent, src_mask, packed: bool = False
 def decode_teacher_forced(
     module: LanguageModule, latent, src_mask, target_in, dropout_rng=None, packed: bool = False
 ) -> Tensor:
-    """Logits [B, T, V] for the shifted target given encoder states.
+    """Logits [B, T, V] for the shifted target given a latent.
 
-    The latent may come from any language's encoder as long as its width
-    matches d_model; the source pad mask must travel with it. Only the
-    real positions of ``target_in`` are computed; its pad positions read
-    0. With ``packed`` the latent is given as the packed rows of
-    ``src_mask``'s real positions (``encode(..., packed=True)``) and the
-    logits come back as the rows [N, V] of ``target_in``'s real positions.
+    The latent is the rows [N, d_model] of ``src_mask``'s real positions,
+    as ``encode`` returns them, from any language's encoder whose width
+    matches d_model. Only the real positions of ``target_in`` are
+    computed; its pad positions read 0. With ``packed`` the logits come
+    back as the rows [N, V] of ``target_in``'s real positions instead:
+    training scores those rows directly, where spreading them to
+    [B, T, V] would cost a zero-filled copy and its gather per pass.
     """
-    la, src_mask = _check_latent(module, latent, src_mask, packed)
+    la, src_mask = _check_latent(module, latent, src_mask)
     tok = _check_tokens(module, target_in, "target")
     if tok.shape[0] != src_mask.shape[0]:
         raise CompatibilityError(
@@ -280,14 +275,13 @@ def decode_teacher_forced(
     cfg, p, heads = module.config, module.params, module.config.num_heads
     mask = pad_mask(tok)
     causal, cross_bias = _causal_bias(tok.shape[1]), _key_bias(src_mask)
-    cross = la if packed else T.pack(la, src_mask)
     x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"dec.{i}."
         h = _ln(p, pre + "ln1.", x)
         x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, mask, mask, causal, heads), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln2.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "cross.", h, cross, mask, src_mask, cross_bias, heads), cfg.dropout, dropout_rng))
+        x = T.add(x, _maybe_dropout(_attention(p, pre + "cross.", h, la, mask, src_mask, cross_bias, heads), cfg.dropout, dropout_rng))
         h = _ln(p, pre + "ln3.", x)
         x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
     logits = T.linear(_ln(p, "dec.final.", x), p["out_proj"])
@@ -335,10 +329,12 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
     terminating eos when one was produced. Pad and bos can never be
     emitted. Ties in the argmax resolve to the lowest id.
 
-    The latent's cross-attention keys and values are projected once.
-    Each step embeds only the newest token, whose query attends over the
-    cached self-attention keys and values of the positions up to it, so
-    no step re-decodes the prefix. Rows leave the working batch when they
+    The latent is the rows [N, d_model] of ``src_mask``'s real
+    positions, as ``encode`` returns them. Their cross-attention keys and
+    values are projected once and scattered into heads. Each step embeds
+    only the newest token, whose query attends over the cached
+    self-attention keys and values of the positions up to it, so no step
+    re-decodes the prefix. Rows leave the working batch when they
     emit eos. Steps run off the tape, on plain arrays, through the same
     ``tensor.attend`` and layer-norm forward as the training path.
     """
@@ -347,12 +343,12 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
     cfg = module.config
     if max_steps > cfg.max_len:
         raise LengthError(f"max_steps {max_steps} exceeds the position table ({cfg.max_len})")
-    la, src_mask = _check_latent(module, Tensor(T._as_array(latent)), src_mask)
-    batch, heads = la.shape[0], cfg.num_heads
+    la, src_mask = _check_latent(module, latent, src_mask)
+    batch, heads = src_mask.shape[0], cfg.num_heads
     p = {name: t.array for name, t in module.params.items()}
     # [num_blocks, 2, B, h, S, d / h] like the cache, so dropping rows is one index
     cross = np.array([
-        [T.split_heads(la.array @ p[f"dec.{i}.cross.w{n}"] + p[f"dec.{i}.cross.b{n}"], heads) for n in "kv"]
+        [T._heads(la.array @ p[f"dec.{i}.cross.w{n}"] + p[f"dec.{i}.cross.b{n}"], src_mask, heads) for n in "kv"]
         for i in range(cfg.num_blocks)
     ])
     cross_bias = _key_bias(src_mask)

@@ -79,7 +79,7 @@ def export_embeddings(system: System, corpus: ParallelCorpus, languages=None) ->
         if not sequences:
             continue
         tokens = _pad_rows(sequences)
-        pooled = pool(encode(system.modules[lang], tokens, packed=True), pad_mask(tokens))
+        pooled = pool(encode(system.modules[lang], tokens), pad_mask(tokens))
         for i in range(pooled.shape[0]):
             rows.append((lang, i, pooled.array[i].copy()))
     return EmbeddingDump(dim=system.config.d_model, model_hash=system.parameter_hash(), rows=rows)

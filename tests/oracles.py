@@ -92,11 +92,23 @@ def reference_bleu(hypotheses, references) -> float:
     return bp * math.exp(sum(math.log(p) for p in precisions) / 4.0) * 100.0
 
 
+def unpacked(rows, mask) -> np.ndarray:
+    """A latent's packed rows [N, d] spread to the padded [B, S, d] form the
+    padded oracles take: row-major over ``mask``'s True entries, zeros at
+    its pad positions."""
+    rows = np.asarray(getattr(rows, "array", rows), dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    assert rows.ndim == 2 and rows.shape[0] == mask.sum(), (rows.shape, mask.shape)
+    out = np.zeros(mask.shape + rows.shape[1:])
+    out[mask] = rows
+    return out
+
+
 def reference_greedy_decode(module, latent, src_mask, max_steps: int) -> list[list[int]]:
     """Greedy decoding that re-runs the padded teacher-forced decoder on
     the whole prefix at every step: quadratic in output length, but with no
-    cache and no packing to get wrong. Finished rows stay in the batch and
-    emit nothing more.
+    cache and no packing to get wrong. ``latent`` is padded, [B, S, d]
+    (``unpacked``). Finished rows stay in the batch and emit nothing more.
     """
     from interlingua import transformer as M
 

@@ -454,6 +454,24 @@ class TestTrain:
             hashes.append(system.parameter_hash())
         assert hashes[0] == hashes[1]
 
+    def test_checkpoints_record_the_codebook_they_trained(self, tmp_path, capsys):
+        # add-language and a resume without --dvq train the checkpoint's
+        # codebook; their checkpoints' train_config says so, with its shape
+        codebook = ("--set", "train.vq_tables=2", "--set", "train.vq_entries=8")
+        for name, follow in (("extended", ("add-language",)), ("resumed", ("train", "--resume", "--steps", "4"))):
+            root = tmp_path / name
+            root.mkdir()
+            config = make_project(root)
+            run(capsys, "prepare", "--config", str(config))
+            code, _, err = run(capsys, "train", "--config", str(config), "--dvq", "--steps", "2", *codebook)
+            assert code == 0, err
+            code, _, err = run(capsys, *follow, "--config", str(config))
+            assert code == 0, err
+            target = "checkpoint-extended.ckpt" if name == "extended" else "checkpoint-final.ckpt"
+            system, _, train_config = load_checkpoint(out_dir(config) / target)
+            assert (system.codebook.n_tables, system.codebook.entries) == (2, 8)
+            assert (train_config.quantize, train_config.vq_tables, train_config.vq_entries) == (True, 2, 8), name
+
     def test_divergence_aborts_with_breakdown(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
         assert run(capsys, "train", "--config", str(project))[0] == 0
@@ -619,6 +637,21 @@ class TestLoaderFailures:
             assert code == 1
             one_error_line(err, "config")
             assert "prepare" in err
+
+    def test_emptied_split_is_one_error_line(self, project, capsys):
+        # every test pair is longer than data.max_words, so prepare keeps none
+        long_line = " ".join(["taru"] * 60)
+        for lang in ("x", "y"):
+            (project.parent / "toydata" / f"test.{lang}").write_text((long_line + "\n") * 4, encoding="utf-8")
+        code, out, err = run(capsys, "prepare", "--config", str(project))
+        assert code == 0, err
+        assert "test: kept 0 pairs" in out
+        assert run(capsys, "train", "--config", str(project), "--steps", "1")[0] == 0
+        for argv in (["eval"], ["interlingua-eval"], ["viz", "--split", "test"]):  # eval's default split is test
+            code, _, err = run(capsys, *argv, "--config", str(project))
+            assert code == 1, argv
+            one_error_line(err, "config")
+            assert "test split holds no pairs" in err, argv
 
     def test_missing_checkpoint(self, project, capsys):
         assert run(capsys, "prepare", "--config", str(project))[0] == 0

@@ -8,43 +8,47 @@ import pytest
 from interlingua import latent as L
 from interlingua import tensor as T
 from interlingua.exceptions import ConfigError, DegenerateBatchError, ShapeError
-from oracles import assert_grad_close, finite_difference, nearest_row_bruteforce
+from oracles import assert_grad_close, finite_difference, nearest_row_bruteforce, unpacked
 
 
 class TestPool:
     def test_hand_case_two_tokens(self):
-        raw = T.Tensor([[[1.0, 3.0], [3.0, 5.0]]])  # B=1, T=2, D=2
+        raw = T.Tensor([[1.0, 3.0], [3.0, 5.0]])  # the packed rows of B=1, T=2, D=2
         out = L.pool(raw, np.array([[True, True]]))
         np.testing.assert_allclose(out.array, [[2.0, 4.0]], atol=1e-12)
 
     def test_matches_masked_mean(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            raw = rng.normal(size=(4, 6, 3))
             mask = rng.random((4, 6)) < 0.7
             mask[:, 0] = True  # every row keeps at least one real token
-            got = L.pool(T.Tensor(raw), mask).array
+            rows = rng.normal(size=(int(mask.sum()), 3))
+            got = L.pool(T.Tensor(rows), mask).array
+            raw = unpacked(rows, mask)
             want = np.stack([raw[i][mask[i]].mean(axis=0) for i in range(4)])
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_all_pad_row_rejected(self):
-        raw = T.Tensor(np.ones((2, 3, 4)))
+        raw = T.Tensor(np.ones((2, 4)))
         mask = np.array([[True, True, False], [False, False, False]])
         with pytest.raises(DegenerateBatchError):
             L.pool(raw, mask)
 
     def test_mask_shape_checked(self):
-        with pytest.raises(ShapeError):
-            L.pool(T.Tensor(np.ones((2, 3, 4))), np.ones((2, 4), dtype=bool))
+        mask = np.ones((2, 4), dtype=bool)
+        for raw in (np.ones((5, 4)), np.ones((2, 4, 4))):  # too few rows; a padded batch
+            with pytest.raises(ShapeError):
+                L.pool(T.Tensor(raw), mask)
 
     def test_gradient_skips_pad_positions(self):
+        # each real row gets 1 / (its sentence's length); pad positions have no row
         tape = T.GradTape()
-        raw = tape.watch(T.Tensor(np.arange(12, dtype=float).reshape(1, 4, 3)))
-        mask = np.array([[True, True, False, False]])
+        raw = tape.watch(T.Tensor(np.arange(18, dtype=float).reshape(6, 3)))
+        mask = np.array([[True, True, False, False], [True, True, True, True]])
         grads = T.backward(T.reduce_sum(L.pool(raw, mask)))
         g = grads[raw]
-        assert np.all(g[0, :2] == 0.5)
-        assert np.all(g[0, 2:] == 0.0)
+        assert np.all(g[:2] == 0.5)
+        assert np.all(g[2:] == 0.25)
 
 
 class TestStackLatents:

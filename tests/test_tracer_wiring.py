@@ -6,6 +6,7 @@ caller looks it up by (``training.encode``, ``cli.train``, ...). Only a
 a renamed or moved function fails here, not in the benchmark.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -30,3 +31,14 @@ def test_tracer_wraps_every_target_and_restores_it():
         tracer.uninstall()
     for (module, attr), original in originals.items():
         assert getattr(MODULES[module], attr) is original, f"{module}.{attr} was not restored"
+
+
+def test_parameters_the_tracer_reads_by_position():
+    # the notes read decode_teacher_forced's target_in as args[3],
+    # save_checkpoint's path as args[2] and backward's loss as args[0]
+    for fn, position, name in (
+        (transformer.decode_teacher_forced, 3, "target_in"),
+        (training.save_checkpoint, 2, "path"),
+        (training.backward, 0, "loss"),
+    ):
+        assert list(inspect.signature(fn).parameters)[position] == name, fn.__name__

@@ -633,6 +633,28 @@ class TestCheckpoint:
         save_checkpoint(loaded, state, second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_arrays_outside_the_layout_are_ignored(self, toy_corpus, tmp_path, monkeypatch):
+        # a layout without the key biases still loads a file that stores
+        # them, with their Adam moments, and keeps every other array
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        state = train(system, TrainState(), corpus, fast_train_config(max_steps=1))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(system, state, path)
+        full_layout = LanguageModule._layout
+        monkeypatch.setattr(
+            LanguageModule, "_layout", lambda self: [e for e in full_layout(self) if not e[0].endswith(".bk")]
+        )
+        loaded, loaded_state, _ = load_checkpoint(path)
+        params = system.named_parameters()
+        kept = {name for name in params if not name.endswith(".bk")}
+        assert set(loaded.named_parameters()) == kept and len(kept) < len(params)
+        assert set(loaded_state.moments) == kept
+        for name, t in loaded.named_parameters().items():
+            assert np.array_equal(t.array, params[name].array), name
+            for got, want in zip(loaded_state.moments[name], state.moments[name]):
+                assert np.array_equal(got, want), name
+
     def test_quantizer_survives_round_trip(self, toy_corpus, tmp_path):
         corpus, vocabs, _, _ = toy_corpus
         system = build_system(
