@@ -45,7 +45,6 @@ from .transformer import EOS_ID, LanguageModule, ModelConfig
 from .viz import export_embeddings, language_silhouette, pca_project, render_scatter, save_dump
 
 FINAL_CHECKPOINT = "checkpoint-final.ckpt"
-MANIFEST = "manifest.json"
 EFFECTIVE_CONFIG = "effective-config.ini"
 TRAIN_LOG = "train-log.jsonl"
 LOCK_FILE = ".lock"
@@ -55,10 +54,6 @@ RUN_FILES = {
     "train": (TRAIN_LOG, "checkpoint-{step:06d}.ckpt", FINAL_CHECKPOINT),
     "add-language": ("extend-log.jsonl", "checkpoint-extended-{step:06d}.ckpt", "checkpoint-extended.ckpt"),
 }
-
-# recorded in prepare's manifest, so a directory prepared by code that wrote
-# other artifacts is rebuilt; 2: corpus source files relative to the config
-PREPARE_FORMAT = 2
 
 
 def ini_text(value) -> str:
@@ -116,7 +111,7 @@ def read_config(path: str | None, overrides: list[str]) -> tuple[configparser.Co
         if not file.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            cp.read(file, encoding="utf-8")
+            cp.read_string(D.read_text(file), source=str(file))
         except configparser.Error as err:
             raise ConfigError(" ".join(str(err).split())) from None
         base = file.resolve().parent
@@ -315,7 +310,7 @@ def write_json(path: Path, obj):
 def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
     """Learn one language's BPE table and vocabulary from a text file; save
     both. Both come from its word counts: each distinct word is segmented once."""
-    words = D.word_counts(text.read_text(encoding="utf-8").splitlines())
+    words = D.word_counts(D.read_text(text).splitlines())
     model = D.learn_bpe(words, setting(cp, "data", "bpe_merges", int))
     pieces = Counter()
     for word, count in words.items():
@@ -426,49 +421,19 @@ def cmd_prepare(args) -> int:
     lang_x, lang_y = language_pair(cp)
     if lang_x == lang_y:
         raise ConfigError(f"lang_x and lang_y must differ, both are {lang_x!r}")
-    settings = {key: setting(cp, "data", key, int) for key in ("bpe_merges", "vocab_cap", "max_words")}
-    # the longest id sequence, eos included, that the model will accept
-    settings.update(
-        max_len=setting(cp, "model", "max_len", int), lang_x=lang_x, lang_y=lang_y, format=PREPARE_FORMAT
-    )
-    inputs = {
-        "train_x": D.file_sha256(train_x),
-        "train_y": D.file_sha256(train_y),
-        "test_x": D.file_sha256(test_x) if test_x else None,
-        "test_y": D.file_sha256(test_y) if test_y else None,
-    }
-    manifest_file = out / MANIFEST
-    if manifest_file.is_file():
-        old = json.loads(manifest_file.read_text(encoding="utf-8"))
-        outputs_intact = all(
-            (out / name).is_file() and D.file_sha256(out / name) == digest
-            for name, digest in old.get("outputs", {}).items()
-        )
-        if old.get("inputs") == inputs and old.get("settings") == settings and outputs_intact:
-            print("prepare: inputs unchanged, artifacts up to date")
-            return 0
-
-    sides = {lang_x: train_x, lang_y: train_y}
+    # read before any artifact is written, so a malformed value leaves the output
+    # directory as it was; max_len is the longest id sequence, eos included,
+    # that the model will accept
+    limits = {"max_words": setting(cp, "data", "max_words", int), "max_len": setting(cp, "model", "max_len", int)}
     models: dict[str, D.BpeModel] = {}
     vocabs: dict[str, D.Vocabulary] = {}
-    for lang, path in sides.items():
+    for lang, path in ((lang_x, train_x), (lang_y, train_y)):
         models[lang], vocabs[lang] = learn_side(cp, path, out, lang)
         print(f"prepare: {lang}: {len(models[lang].merges)} merges, vocabulary {len(vocabs[lang])}")
 
-    limits = {"max_words": settings["max_words"], "max_len": settings["max_len"]}
     for split, px, py in (("train", train_x, train_y), ("test", test_x, test_y)):
         if px:
             build_split(args.command, base, out, split, {lang_x: px, lang_y: py}, models, vocabs, **limits)
-
-    output_names = [bpe_path(out, l).name for l in sides] + [vocab_path(out, l).name for l in sides]
-    output_names.append(corpus_path(out, "train").name)
-    if test_x:
-        output_names.append(corpus_path(out, "test").name)
-    write_json(manifest_file, {
-        "inputs": inputs,
-        "settings": settings,
-        "outputs": {name: D.file_sha256(out / name) for name in sorted(output_names)},
-    })
     return 0
 
 
@@ -557,7 +522,7 @@ def cmd_translate(args) -> int:
     system, vocabs = load_system(args, out, dict.fromkeys((src, tgt)))
     bpe_src = D.load_bpe(bpe_path(out, src))
 
-    lines = require_file(Path(args.input), "check --input").read_text(encoding="utf-8").splitlines()
+    lines = D.read_text(require_file(Path(args.input), "check --input")).splitlines()
     output_path = Path(args.output) if args.output else out / f"translated-{src}-{tgt}.txt"
     if not lines:
         output_path.write_text("", encoding="utf-8")

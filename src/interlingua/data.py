@@ -152,12 +152,14 @@ def reverse_bpe(tokens: list[str]) -> list[str]:
 def save_bpe(model: BpeModel, path):
     lines = [f"#merges {len(model.merges)}"]
     lines += [f"{a} {b}" for a, b in model.merges]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_bpe(path) -> BpeModel:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw or not raw[0].startswith("#merges"):
+    raw = read_text(path).splitlines()
+    head = raw[0].split() if raw else []
+    if len(head) != 2 or head[0] != "#merges" or not head[1].isdecimal():
         raise CheckpointError(f"not a merge table: {path}")
     merges = []
     for line in raw[1:]:
@@ -167,6 +169,8 @@ def load_bpe(path) -> BpeModel:
         if not b:
             raise CheckpointError(f"malformed merge line in {path}: {line!r}")
         merges.append((a, b))
+    if len(merges) != int(head[1]):
+        raise CheckpointError(f"{path} declares {head[1]} merges but holds {len(merges)}")
     return BpeModel(merges)
 
 
@@ -204,13 +208,12 @@ class Vocabulary:
 
     def save(self, path):
         # reserved entries are implicit; one real token per line, ids by order
-        Path(path).write_text(
-            "\n".join(self.id_to_token[len(RESERVED_TOKENS) :]) + "\n", encoding="utf-8"
-        )
+        with replacing(path) as fh:
+            fh.write(("\n".join(self.id_to_token[len(RESERVED_TOKENS) :]) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         return cls([ln for ln in lines if ln])
 
 
@@ -265,8 +268,8 @@ def load_parallel(
     """
     if lang_x == lang_y:
         raise ConfigError(f"language tags must differ, both are {lang_x!r}")
-    lines_x = Path(path_x).read_text(encoding="utf-8").splitlines()
-    lines_y = Path(path_y).read_text(encoding="utf-8").splitlines()
+    lines_x = read_text(path_x).splitlines()
+    lines_y = read_text(path_y).splitlines()
     if len(lines_x) != len(lines_y):
         raise AlignmentError(
             f"{path_x} has {len(lines_x)} lines but {path_y} has {len(lines_y)}"
@@ -319,6 +322,15 @@ def replacing(path):
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; bytes that are not UTF-8 are one
+    ConfigError that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
 def write_header(fh, magic: bytes, header: dict):
@@ -417,11 +429,3 @@ def read_corpus(path) -> ParallelCorpus:
             sequences[lang] = [side[lo:hi] for lo, hi in zip(ends, ends[1:])]
         expect_end(fh, path)
     return ParallelCorpus(languages=languages, sequences=sequences, provenance=provenance)
-
-
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -4,12 +4,14 @@ import configparser
 import dataclasses
 import json
 import os
+import re
 import shutil
 import socket
 import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,10 +109,10 @@ class TestPrepare:
         run_dir = out_dir(project)
         for name in (
             "bpe-x.txt", "bpe-y.txt", "vocab-x.txt", "vocab-y.txt",
-            "corpus-train.bin", "corpus-test.bin", "manifest.json",
-            "effective-config.ini",
+            "corpus-train.bin", "corpus-test.bin", "effective-config.ini",
         ):
             assert (run_dir / name).is_file(), name
+        assert not (run_dir / "manifest.json").exists()
         assert "kept" in out
 
     def test_vocab_respects_cap(self, project, capsys):
@@ -119,34 +121,57 @@ class TestPrepare:
         vocab_lines = (out_dir(project) / "vocab-x.txt").read_text().splitlines()
         assert len(vocab_lines) + 4 <= 10
 
-    def test_rerun_is_noop(self, project, capsys):
+    def test_rerun_rewrites_the_same_bytes(self, project, capsys):
         assert run(capsys, "prepare", "--config", str(project))[0] == 0
-        manifest_before = (out_dir(project) / "manifest.json").read_bytes()
-        code, out, _ = run(capsys, "prepare", "--config", str(project))
-        assert code == 0
-        assert "unchanged" in out
-        assert (out_dir(project) / "manifest.json").read_bytes() == manifest_before
+        run_dir = out_dir(project)
+        before = {p.name: (p.stat().st_ino, p.read_bytes()) for p in run_dir.iterdir()}
+        code, _, err = run(capsys, "prepare", "--config", str(project))
+        assert code == 0, err
+        after = {p.name: (p.stat().st_ino, p.read_bytes()) for p in run_dir.iterdir()}
+        assert sorted(after) == sorted(before)
+        for name, (inode, blob) in after.items():
+            assert blob == before[name][1], name
+            if name != EFFECTIVE_CONFIG:  # the others are replaced by a new file
+                assert inode != before[name][0], name
 
-    def test_older_artifact_format_triggers_rebuild(self, project, capsys):
+    @pytest.mark.parametrize("leftover", [
+        pytest.param('{"inputs": {}, "outputs": {}, "settings": {"format": 2}}\n', id="valid"),
+        pytest.param("{not json", id="not-json"),
+        pytest.param("[1, 2]\n", id="json-list"),
+    ])
+    def test_leftover_manifest_is_ignored(self, project, capsys, leftover):
         assert run(capsys, "prepare", "--config", str(project))[0] == 0
-        manifest = out_dir(project) / "manifest.json"
-        record = json.loads(manifest.read_text(encoding="utf-8"))
-        assert record["settings"].pop("format") == 2
-        manifest.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        code, out, _ = run(capsys, "prepare", "--config", str(project))
-        assert code == 0
-        assert "unchanged" not in out and "kept" in out
-        assert json.loads(manifest.read_text(encoding="utf-8"))["settings"]["format"] == 2
+        run_dir = out_dir(project)
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        (run_dir / "manifest.json").write_text(leftover, encoding="utf-8")
+        code, out, err = run(capsys, "prepare", "--config", str(project))
+        assert code == 0 and "Traceback" not in err, err
+        assert "kept" in out
+        assert (run_dir / "manifest.json").read_text(encoding="utf-8") == leftover
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
 
     def test_input_change_triggers_rebuild(self, project, capsys):
-        assert run(capsys, "prepare", "--config", str(project))[0] == 0
+        def kept(out):
+            (line,) = [l for l in out.splitlines() if l.startswith("prepare: train: kept")]
+            return int(line.split()[3])
+
+        code, out, _ = run(capsys, "prepare", "--config", str(project))
+        assert code == 0
         extra = "taru mesi konda"
         for side, line in (("x", extra), ("y", toy.translate_line(extra))):
             path = project.parent / "toydata" / f"train.{side}"
             path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
-        code, out, _ = run(capsys, "prepare", "--config", str(project))
+        code, rebuilt, _ = run(capsys, "prepare", "--config", str(project))
         assert code == 0
-        assert "unchanged" not in out
+        assert kept(rebuilt) == kept(out) + 1
+        corpus = D.read_corpus(out_dir(project) / "corpus-train.bin")
+        assert corpus.provenance["kept"] == kept(out) + 1
+
+    def test_malformed_limit_writes_no_artifact(self, project, capsys):
+        code, _, err = run(capsys, "prepare", "--config", str(project), "--set", "data.max_words=many")
+        assert code == 1
+        one_error_line(err, "config")
+        assert [p.name for p in out_dir(project).iterdir()] == [EFFECTIVE_CONFIG]
 
     def test_pairs_longer_than_max_len_are_dropped(self, project, capsys):
         # 12 unseen 6-letter words segment into about 72 ids, far beyond
@@ -159,15 +184,15 @@ class TestPrepare:
         code, out, err = run(capsys, "prepare", "--config", str(project))
         assert code == 0, err
         assert "test: kept 16 pairs, dropped 1" in out
-        manifest = json.loads((out_dir(project) / "manifest.json").read_text())
-        assert manifest["settings"]["max_len"] == 16
+        test_corpus = out_dir(project) / "corpus-test.bin"
+        assert D.read_corpus(test_corpus).provenance["max_len"] == 16
         assert run(capsys, "train", "--config", str(project), "--steps", "2")[0] == 0
         for command in ("eval", "interlingua-eval"):
             code, _, err = run(capsys, command, "--config", str(project), "--split", "test")
             assert code == 0, err
-        code, out, _ = run(capsys, "prepare", "--config", str(project), "--set", "model.max_len=20")
-        assert code == 0
-        assert "unchanged" not in out
+        code, _, err = run(capsys, "prepare", "--config", str(project), "--set", "model.max_len=20")
+        assert code == 0, err
+        assert D.read_corpus(test_corpus).provenance["max_len"] == 20
 
     def test_artifacts_match_the_reference_pipeline(self, project, capsys):
         # a pair over max_words and one over max_len in each split, plus
@@ -310,6 +335,17 @@ class TestConfigValues:
         for section, cls in (("train", TrainConfig), ("model", ModelConfig)):
             names = {f.name for f in dataclasses.fields(cls)} - {"vocab_size"}
             assert names <= set(DEFAULTS[section]), section
+
+    def test_readme_table_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in readme.splitlines():
+            row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+            if row:  # backticked names outside the parenthesized defaults
+                rows[row[1]] = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", row[2]))
+        assert sorted(rows) == sorted(DEFAULTS)
+        for section, keys in rows.items():
+            assert sorted(keys) == sorted(DEFAULTS[section]), section
 
     def test_percent_sign_is_a_literal_character(self, project, capsys):
         text = project.read_text(encoding="utf-8").replace("lang_x = x\n", "lang_x = x%y\n")
@@ -718,6 +754,25 @@ class TestLoaderFailures:
             assert code == 1, name
             one_error_line(err, "checkpoint")
             assert "trailing bytes" in err
+
+    @pytest.mark.parametrize("command, damaged", [
+        pytest.param("translate", "bpe-x.txt", id="bpe"),
+        pytest.param("eval", "vocab-x.txt", id="vocabulary"),
+        pytest.param("translate", "input.txt", id="translate-input"),
+        pytest.param("eval", "config.ini", id="config"),
+    ])
+    def test_text_that_is_not_utf8_is_one_config_error(self, trained_project, tmp_path, capsys, command, damaged):
+        # a copy of the run beside a copy of its config, whose output.dir is run
+        shutil.copytree(out_dir(trained_project), tmp_path / "run")
+        shutil.copy(trained_project, tmp_path / "config.ini")
+        shutil.copy(trained_project.parent / "toydata" / "test.x", tmp_path / "input.txt")
+        target = tmp_path / ("run" if damaged.endswith("-x.txt") else "") / damaged
+        target.write_bytes(target.read_bytes() + "# caf\u00e9\n".encode("latin-1"))
+        argv = ["--src", "x", "--tgt", "y", "--input", str(tmp_path / "input.txt")] if command == "translate" else []
+        code, _, err = run(capsys, command, "--config", str(tmp_path / "config.ini"), *argv)
+        assert code == 1
+        one_error_line(err, "config")
+        assert f"{target} is not UTF-8" in err and "Traceback" not in err
 
     def test_resume_without_final_checkpoint(self, project, capsys):
         assert run(capsys, "prepare", "--config", str(project))[0] == 0

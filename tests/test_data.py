@@ -143,6 +143,16 @@ class TestBpe:
         with pytest.raises(CheckpointError):
             D.load_bpe(path)
 
+    def test_load_rejects_a_table_shorter_than_its_count(self, tmp_path):
+        model = D.learn_bpe(["the cat sat on the mat", "a fat rat ate the hat"], num_merges=12)
+        path = tmp_path / "merges.txt"
+        D.save_bpe(model, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == f"#merges {len(model.merges)}" and len(model.merges) > 4
+        path.write_text("\n".join(lines[:-4]) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointError, match="declares"):
+            D.load_bpe(path)
+
 
 class TestVocabulary:
     def test_reserved_ids_are_fixed(self):
@@ -324,3 +334,15 @@ class TestCorpusSerialization:
                 for a, b in zip(corpus.sequences[lang], loaded.sequences[lang]):
                     np.testing.assert_array_equal(a, b)
         assert loads == 1  # only the whole file loads
+
+
+class TestReplacing:
+    def test_failed_replacement_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with D.replacing(path) as fh:
+                fh.write(b"half of a new")
+                raise RuntimeError("killed midway")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
