@@ -259,7 +259,8 @@ class OutputLock:
                 self._take()
                 return self
             except FileExistsError:
-                holder = self.path.read_text(encoding="utf-8").strip()
+                # a marker that is not UTF-8 decodes to a holder that is not stale
+                holder = self.path.read_bytes().decode("utf-8", "replace").strip()
             if attempt or not _is_stale(holder):
                 break
             print(f"warning: removed stale lock {self.path} (pid {holder.split()[0]} is gone)", file=sys.stderr)
@@ -307,9 +308,9 @@ def write_json(path: Path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Vocabulary]:
-    """Learn one language's BPE table and vocabulary from a text file; save
-    both. Both come from its word counts: each distinct word is segmented once."""
+def learn_side(cp, text: Path) -> tuple[D.BpeModel, D.Vocabulary]:
+    """Learn one language's BPE table and vocabulary from a text file. Both
+    come from its word counts: each distinct word is segmented once."""
     words = D.word_counts(D.read_text(text).splitlines())
     model = D.learn_bpe(words, setting(cp, "data", "bpe_merges", int))
     pieces = Counter()
@@ -317,29 +318,32 @@ def learn_side(cp, text: Path, out: Path, lang: str) -> tuple[D.BpeModel, D.Voca
         for piece in model.segment_word(word):
             pieces[piece] += count
     vocab = D.build_vocabulary([pieces], setting(cp, "data", "vocab_cap", int))
-    D.save_bpe(model, bpe_path(out, lang))
-    vocab.save(vocab_path(out, lang))
     return model, vocab
 
 
+def save_side(out: Path, lang: str, model: D.BpeModel, vocab: D.Vocabulary):
+    D.save_bpe(model, bpe_path(out, lang))
+    vocab.save(vocab_path(out, lang))
+
+
 def build_split(
-    command: str, base: Path, out: Path, split: str, texts: dict[str, Path], models, vocabs,
-    max_words: int, max_len: int,
+    base: Path, texts: dict[str, Path], models, vocabs, max_words: int, max_len: int,
 ) -> D.ParallelCorpus:
     """Binarize one split from aligned text files keyed by language, first
-    side first, and save it. Its source files are named relative to
-    ``base``, the config file's directory, so the bytes do not depend on
-    where it lives."""
+    side first. Its source files are named relative to ``base``, the
+    config file's directory, so the bytes do not depend on where it lives."""
     (lang_x, px), (lang_y, py) = texts.items()
     corpus = D.load_parallel(
         px, py, vocabs[lang_x], vocabs[lang_y], max_words=max_words,
         bpe_x=models[lang_x], bpe_y=models[lang_y], lang_x=lang_x, lang_y=lang_y, max_len=max_len,
     )
-    prov = corpus.provenance
-    prov["source_files"] = {lang: os.path.relpath(f, base) for lang, f in texts.items()}
-    D.save_corpus(corpus, corpus_path(out, split))
-    print(f"{command}: {split}: kept {prov['kept']} pairs, dropped {prov['dropped']}")
+    corpus.provenance["source_files"] = {lang: os.path.relpath(f, base) for lang, f in texts.items()}
     return corpus
+
+
+def save_split(command: str, out: Path, split: str, corpus: D.ParallelCorpus):
+    D.save_corpus(corpus, corpus_path(out, split))
+    print(f"{command}: {split}: kept {corpus.provenance['kept']} pairs, dropped {corpus.provenance['dropped']}")
 
 
 def run_training(
@@ -349,7 +353,9 @@ def run_training(
     """Train up to ``cfg.max_steps`` with ``command``'s files (``RUN_FILES``):
     one sorted JSON line per step in its log, a checkpoint every
     ``checkpoint_every`` steps and progress on step 1 and every 50th.
-    Returns the final checkpoint, saved at the end."""
+    Returns the final checkpoint, saved at the end: when this run saved a
+    periodic checkpoint at its last step, which holds the same bytes, the
+    final one is a hard link to it."""
     log_name, periodic, final = RUN_FILES[command]
     # checkpoints record the codebook the system trains with: a resumed or
     # extended system brings its checkpoint's, whatever train.quantize says
@@ -358,20 +364,39 @@ def run_training(
     if cb is not None:
         cfg = dataclasses.replace(cfg, vq_tables=cb.n_tables, vq_entries=cb.entries)
 
+    saved = {}  # step -> periodic checkpoint saved by this run
+
     def after_step(report: dict):
         log.write(json.dumps(report, sort_keys=True) + "\n")
         log.flush()
         step = report["step"]
         if checkpoint_every > 0 and step % checkpoint_every == 0:
-            save_checkpoint(system, state, out / periodic.format(step=step), train_config=cfg)
+            saved[step] = out / periodic.format(step=step)
+            save_checkpoint(system, state, saved[step], train_config=cfg)
         if step % 50 == 0 or step == 1:
             print(f"step {step}: loss {report['loss']:.4f} corr_distance {report['corr_distance']:.4f}")
 
     # a state past step 0 was resumed: its log so far is kept
     with open(out / log_name, "a" if state.step else "w", encoding="utf-8") as log:
         train(system, state, corpus, cfg, log_fn=after_step, trainable=trainable)
-    save_checkpoint(system, state, out / final, train_config=cfg)
+    if state.step not in saved or not _link_over(saved[state.step], out / final):
+        save_checkpoint(system, state, out / final, train_config=cfg)
     return out / final
+
+
+def _link_over(source: Path, target: Path) -> bool:
+    """Hard-link ``source`` to a temporary name and rename that over
+    ``target``; False, with ``target`` untouched, where the file system
+    refuses the link. Every file writer renames a new file over its target,
+    so no later write goes through the link into ``source``."""
+    partial = target.with_name(f".{target.name}.partial")
+    try:
+        partial.unlink(missing_ok=True)
+        os.link(source, partial)
+    except OSError:
+        return False
+    os.replace(partial, target)
+    return True
 
 
 def load_vocabs(out: Path, languages) -> dict[str, D.Vocabulary]:
@@ -421,19 +446,24 @@ def cmd_prepare(args) -> int:
     lang_x, lang_y = language_pair(cp)
     if lang_x == lang_y:
         raise ConfigError(f"lang_x and lang_y must differ, both are {lang_x!r}")
-    # read before any artifact is written, so a malformed value leaves the output
-    # directory as it was; max_len is the longest id sequence, eos included,
-    # that the model will accept
+    # every input is read and checked before the first artifact is written,
+    # so a bad file or value leaves the output directory as it was; max_len
+    # is the longest id sequence, eos included, that the model will accept
     limits = {"max_words": setting(cp, "data", "max_words", int), "max_len": setting(cp, "model", "max_len", int)}
     models: dict[str, D.BpeModel] = {}
     vocabs: dict[str, D.Vocabulary] = {}
     for lang, path in ((lang_x, train_x), (lang_y, train_y)):
-        models[lang], vocabs[lang] = learn_side(cp, path, out, lang)
+        models[lang], vocabs[lang] = learn_side(cp, path)
+    splits = {
+        split: build_split(base, {lang_x: px, lang_y: py}, models, vocabs, **limits)
+        for split, px, py in (("train", train_x, train_y), ("test", test_x, test_y))
+        if px
+    }
+    for lang in models:
+        save_side(out, lang, models[lang], vocabs[lang])
         print(f"prepare: {lang}: {len(models[lang].merges)} merges, vocabulary {len(vocabs[lang])}")
-
-    for split, px, py in (("train", train_x, train_y), ("test", test_x, test_y)):
-        if px:
-            build_split(args.command, base, out, split, {lang_x: px, lang_y: py}, models, vocabs, **limits)
+    for split, corpus in splits.items():
+        save_split(args.command, out, split, corpus)
     return 0
 
 
@@ -500,11 +530,13 @@ def cmd_add_language(args) -> int:
 
         models, vocabs = {}, load_vocabs(out, [anchor_lang])
         models[anchor_lang] = D.load_bpe(bpe_path(out, anchor_lang))
-        models[new_lang], vocabs[new_lang] = learn_side(cp, train_new, out, new_lang)
+        models[new_lang], vocabs[new_lang] = learn_side(cp, train_new)
         corpus = build_split(
-            args.command, base, out, f"extend-{new_lang}", {anchor_lang: train_anchor, new_lang: train_new},
-            models, vocabs, max_words=setting(cp, "data", "max_words", int), max_len=system.config.max_len,
+            base, {anchor_lang: train_anchor, new_lang: train_new}, models, vocabs,
+            max_words=setting(cp, "data", "max_words", int), max_len=system.config.max_len,
         )
+        save_side(out, new_lang, models[new_lang], vocabs[new_lang])
+        save_split(args.command, out, f"extend-{new_lang}", corpus)
         module = LanguageModule(new_lang, system.config, vocab_size=len(vocabs[new_lang]), seed=train_cfg.seed)
         run_cfg, trainable = attach_language(system, module, corpus, train_cfg, finetune_all, warm_start)
         system.vocab_hashes[new_lang] = vocabs[new_lang].content_hash()

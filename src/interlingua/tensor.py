@@ -148,6 +148,22 @@ def tensors_in_one_buffer(shapes, values) -> list[Tensor]:
     return out
 
 
+def stacked_view(arrays) -> np.ndarray:
+    """Arrays of one shape that lie back to back in one buffer, as
+    ``tensors_in_one_buffer`` lays them out, as one [n, ...] view of it."""
+    first = arrays[0]
+    view = np.lib.stride_tricks.as_strided(
+        first, (len(arrays),) + first.shape, (first.nbytes,) + first.strides, writeable=False
+    )
+    if not first.flags.c_contiguous or any(a.shape != first.shape or _address(a) != _address(v) for a, v in zip(arrays, view)):
+        raise ContractError("the arrays do not lie back to back in one buffer")
+    return view
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
 class Gradients:
     """Result of a backward pass, indexable by the watched leaves of its tape.
 
@@ -318,6 +334,14 @@ def linear(x, w, b=None) -> Tensor:
     return _make(out.reshape(xa.shape[:-1] + (n,)), *specs)
 
 
+def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` on plain arrays, the bias added in place. A stacked
+    ``w`` [n, k, m] with ``b`` [n, 1, m] projects ``x`` n ways in one call."""
+    out = x @ w
+    out += b
+    return out
+
+
 def transpose(a, axes) -> Tensor:
     aa = _as_array(a)
     axes = tuple(axes)
@@ -405,37 +429,48 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: f
     """``layer_norm``'s forward on plain arrays, unchecked: the output,
     the normalized input and the inverse standard deviation."""
     d = x.shape[-1]
-    # sum / d is what mean() computes, without its per-call Python overhead
-    xc = x - x.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    # np.add.reduce is what sum() and mean() call, without their Python wrappers
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
+def _layer_norm_dx(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The input gradient of a layer norm given its output gradient ``g``."""
+    d = g.shape[-1]
+    gx = g * gain
+    return inv * (
+        gx
+        - gx.sum(axis=-1, keepdims=True) / d
+        - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
+    )
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize the last axis to zero mean, unit variance, then scale and shift."""
     xa, ga, ba = _as_array(x), _as_array(gain), _as_array(bias)
+    _check_norm(xa, ga, ba)
+    out, xhat, inv = layer_norm_forward(xa, ga, ba, eps)
+    lead = tuple(range(xa.ndim - 1))
+    return _make(
+        out,
+        (x, lambda g: _layer_norm_dx(g, ga, xhat, inv)),
+        (gain, lambda g: np.sum(g * xhat, axis=lead)),
+        (bias, lambda g: np.sum(g, axis=lead)),
+    )
+
+
+def _check_norm(xa: np.ndarray, ga: np.ndarray, ba: np.ndarray):
     d = xa.shape[-1]
     if ga.shape != (d,) or ba.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},), got {ga.shape} and {ba.shape}")
-    out, xhat, inv = layer_norm_forward(xa, ga, ba, eps)
-
-    def dx(g):
-        gx = g * ga
-        return inv * (
-            gx
-            - gx.sum(axis=-1, keepdims=True) / d
-            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
-        )
-
-    def dgain(g):
-        return np.sum(g * xhat, axis=tuple(range(g.ndim - 1)))
-
-    def dbias(g):
-        return np.sum(g, axis=tuple(range(g.ndim - 1)))
-
-    return _make(out, (x, dx), (gain, dgain), (bias, dbias))
 
 
 def cross_entropy(logits, targets, rows: slice | None = None) -> Tensor:
@@ -575,14 +610,108 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias):
     weights *= q.shape[-1] ** -0.5
     if bias is not None:
         weights += bias
-    weights -= weights.max(axis=-1, keepdims=True)
+    # the reduces that max() and sum() call, without their Python wrappers
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     return weights @ v, weights
+
+
+def ffn_forward(h: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, act):
+    """Feed-forward rows ``act(h @ w1 + b1) @ w2 + b2`` on plain arrays;
+    returns the output and the activation's output."""
+    r = act(affine(h, w1, b1))
+    return affine(r, w2, b2), r
+
+
+def _relu_array(a: np.ndarray) -> np.ndarray:
+    # through the module's ``relu``, so a wrapper installed there sees the
+    # feed-forward sublayers' activations too
+    return relu(a).array
 
 
 # an attention sublayer's weights, in the order ``attention`` takes them
 ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+# a feed-forward sublayer's weights, in the order ``ffn_sublayer`` takes them
+FFN_WEIGHTS = ("w1", "b1", "w2", "b2")
+
+
+def _joint_node(out, parents, all_grads) -> Tensor:
+    """``_make`` for a node whose backward computes every input's gradient
+    in one pass: ``parents`` are (name, value) pairs, and
+    ``all_grads(g, wanted)`` returns the gradient of each wanted name, the
+    names of the parents on a tape. It runs on the first parent's call;
+    each gradient is then handed out exactly once and none is kept. The
+    closures hold arrays only, never a Tensor, so a tape is freed as soon
+    as its last Tensor goes.
+    """
+    wanted = {name for name, p in parents if isinstance(p, Tensor) and p.tape is not None}
+    pending: dict = {}
+
+    def grad_of(name):
+        def fn(g):
+            if not pending:
+                pending.update(all_grads(g, wanted))
+            return pending.pop(name)
+
+        return fn
+
+    return _make(out, *[(p, grad_of(name)) for name, p in parents])
+
+
+def _attention_rows(qa, kva, q_mask, kv_mask, bias, weights, num_heads: int, fused: bool):
+    """One multi-head attention over packed rows on plain arrays: the
+    output rows and ``grads(g, wanted)``, the backward for ``_joint_node``
+    under the names of ``ATTENTION_WEIGHTS`` plus "h" (the query rows;
+    with ``fused``, the rows that are also keys and values) and "kv"."""
+    q_mask, kv_mask = np.asarray(q_mask, dtype=bool), np.asarray(kv_mask, dtype=bool)
+    if len(weights) != 8:
+        raise ShapeError(f"attention needs 8 weights, got {len(weights)}")
+    wq, bq, wk, bk, wv, bv, wo, bo = weights
+    d = wq.shape[0]
+    if qa.ndim != 2 or kva.ndim != 2 or qa.shape[1] != d or kva.shape[1] != d:
+        raise ShapeError(f"attention needs [N, {d}] rows, got {qa.shape} and {kva.shape}")
+    if qa.shape[0] != q_mask.sum() or kva.shape[0] != kv_mask.sum() or q_mask.shape[0] != kv_mask.shape[0]:
+        raise ShapeError(f"rows {qa.shape[0]}/{kva.shape[0]} do not fill masks {q_mask.shape}/{kv_mask.shape}")
+    if d % num_heads != 0:
+        raise ShapeError(f"width {d} not divisible by {num_heads} heads")
+    q, k, v = affine(qa, wq, bq), affine(kva, wk, bk), affine(kva, wv, bv)
+    qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
+    ctx, probs = attend(qh, kh, vh, bias)
+    out = affine(_rows(ctx, q_mask), wo, bo)
+
+    def grads(g, wanted):
+        # the closure keeps the packed q/k/v rows and rebuilds the zero-padded
+        # heads and the context here: less memory per step than holding them
+        qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
+        dctx = _heads(g @ wo.T, q_mask, num_heads)
+        dprobs = dctx @ vh.swapaxes(-1, -2)
+        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+        dscores *= qh.shape[-1] ** -0.5
+        rows = {
+            "o": (_rows(probs @ vh, q_mask), g),
+            "q": (qa, _rows(dscores @ kh, q_mask)),
+            "k": (kva, _rows(dscores.swapaxes(-1, -2) @ qh, kv_mask)),
+            "v": (kva, _rows(probs.swapaxes(-1, -2) @ dctx, kv_mask)),
+        }
+        got = {}
+        for name, (x, dy) in rows.items():
+            if "w" + name in wanted:
+                got["w" + name] = x.T @ dy
+            if "b" + name in wanted:
+                got["b" + name] = dy.sum(axis=0)
+        dq, dk, dv = rows["q"][1], rows["k"][1], rows["v"][1]
+        if fused:
+            if "h" in wanted:
+                got["h"] = dq @ wq.T + (dk @ wk.T + dv @ wv.T)
+        else:
+            if "h" in wanted:
+                got["h"] = dq @ wq.T
+            if "kv" in wanted:
+                got["kv"] = dk @ wk.T + dv @ wv.T
+        return got
+
+    return out, grads
 
 
 def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Tensor:
@@ -596,76 +725,104 @@ def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Te
     values scattered into zeros of [B, h, T, d / h] for ``attend``, and
     the context rows projected by ``wo``. Pad keys are zero vectors, so
     ``bias`` must mask them. Returns [Nq, d].
-
-    The backward computes every input's gradient in one pass on the
-    first parent's call and hands each one out exactly once, keeping
-    none. Its closures hold arrays only, never a Tensor, so a tape is
-    freed as soon as its last Tensor goes.
     """
-    qa, kva = _as_array(q_in), _as_array(kv_in)
-    q_mask, kv_mask = np.asarray(q_mask, dtype=bool), np.asarray(kv_mask, dtype=bool)
-    if len(weights) != 8:
-        raise ShapeError(f"attention needs 8 weights, got {len(weights)}")
-    wq, bq, wk, bk, wv, bv, wo, bo = (_as_array(w) for w in weights)
-    d = wq.shape[0]
-    if qa.ndim != 2 or kva.ndim != 2 or qa.shape[1] != d or kva.shape[1] != d:
-        raise ShapeError(f"attention needs [N, {d}] rows, got {qa.shape} and {kva.shape}")
-    if qa.shape[0] != q_mask.sum() or kva.shape[0] != kv_mask.sum() or q_mask.shape[0] != kv_mask.shape[0]:
-        raise ShapeError(f"rows {qa.shape[0]}/{kva.shape[0]} do not fill masks {q_mask.shape}/{kv_mask.shape}")
-    if d % num_heads != 0:
-        raise ShapeError(f"width {d} not divisible by {num_heads} heads")
-    q, k, v = qa @ wq + bq, kva @ wk + bk, kva @ wv + bv
-    qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
-    ctx, probs = attend(qh, kh, vh, bias)
-    out = _rows(ctx, q_mask) @ wo + bo
-
     fused = q_in is kv_in
-    inputs = [("q", q_in)] if fused else [("q", q_in), ("kv", kv_in)]
-    parents = inputs + list(zip(ATTENTION_WEIGHTS, weights))
-    wanted = {name for name, p in parents if isinstance(p, Tensor) and p.tape is not None}
+    out, grads = _attention_rows(
+        _as_array(q_in), _as_array(kv_in), q_mask, kv_mask, bias, [_as_array(w) for w in weights], num_heads, fused
+    )
+    inputs = [("h", q_in)] if fused else [("h", q_in), ("kv", kv_in)]
+    return _joint_node(out, inputs + list(zip(ATTENTION_WEIGHTS, weights)), grads)
 
-    def all_grads(g):
-        # the closures keep the packed q/k/v rows and rebuild the zero-padded
-        # heads and the context here: less memory per step than holding them
-        qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
-        dctx = _heads(g @ wo.T, q_mask, num_heads)
-        dprobs = dctx @ vh.swapaxes(-1, -2)
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-        dscores *= qh.shape[-1] ** -0.5
-        rows = {
-            "o": (_rows(probs @ vh, q_mask), g),
-            "q": (qa, _rows(dscores @ kh, q_mask)),
-            "k": (kva, _rows(dscores.swapaxes(-1, -2) @ qh, kv_mask)),
-            "v": (kva, _rows(probs.swapaxes(-1, -2) @ dctx, kv_mask)),
-        }
-        grads = {}
-        for name, (x, dy) in rows.items():
-            if "w" + name in wanted:
-                grads["w" + name] = x.T @ dy
-            if "b" + name in wanted:
-                grads["b" + name] = dy.sum(axis=0)
-        dq, dk, dv = rows["q"][1], rows["k"][1], rows["v"][1]
-        if fused:
-            if "q" in wanted:
-                grads["q"] = dq @ wq.T + (dk @ wk.T + dv @ wv.T)
-        else:
-            if "q" in wanted:
-                grads["q"] = dq @ wq.T
-            if "kv" in wanted:
-                grads["kv"] = dk @ wk.T + dv @ wv.T
-        return grads
 
-    pending: dict = {}
+def _sublayer(x, norm, eps: float, rate: float, rng, body):
+    """``x + dropout(body(layer_norm(x)))`` over rows [N, d] on plain
+    arrays, for the pre-norm sublayer nodes. ``body(h)`` returns its
+    output rows and its backward ``grads(g, wanted)``, which names the
+    gradient of ``h`` "h". Returns the output and the node's backward,
+    which adds "x", "gain" and "bias" for the input and the norm."""
+    xa, ga, ba = _as_array(x), _as_array(norm[0]), _as_array(norm[1])
+    if xa.ndim != 2:
+        raise ShapeError(f"a sublayer needs rows [N, d], got {xa.shape}")
+    _check_norm(xa, ga, ba)
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must lie in [0, 1), got {rate}")
+    h, xhat, inv = layer_norm_forward(xa, ga, ba, eps)
+    out, body_grads = body(h)
+    undrop = None
+    if rate > 0.0 and rng is not None:
+        # drawn where a dropout node after the sublayer would draw it
+        out, undrop = _dropout_forward(out, rate, rng)
+    y = xa + out
 
-    def grad_of(name):
-        def fn(g):
-            if not pending:
-                pending.update(all_grads(g))
-            return pending.pop(name)
+    def grads(g, wanted):
+        needs_h = bool(wanted & {"x", "gain", "bias"})
+        got = body_grads(g if undrop is None else undrop(g), wanted | {"h"} if needs_h else wanted)
+        if needs_h:
+            dh = got.pop("h")
+            if "x" in wanted:
+                got["x"] = g + _layer_norm_dx(dh, ga, xhat, inv)
+            if "gain" in wanted:
+                got["gain"] = np.sum(dh * xhat, axis=(0,))
+            if "bias" in wanted:
+                got["bias"] = np.sum(dh, axis=(0,))
+        return got
 
-        return fn
+    return y, grads
 
-    return _make(out, *[(p, grad_of(name)) for name, p in parents])
+
+def attention_sublayer(x, kv, q_mask, kv_mask, bias, norm, weights, num_heads: int, eps: float,
+                       rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """The pre-norm attention sublayer ``x + attention(layer_norm(x), kv)``
+    over packed rows, as one node; ``kv`` None is self-attention over
+    ``layer_norm(x)``. ``norm`` is the layer norm's (gain, bias), and the
+    other arguments are ``attention``'s. With ``rate`` > 0 and an ``rng``,
+    the attention output passes an inverted dropout before the residual
+    add. The backward keeps the arithmetic of the layer_norm, attention,
+    dropout and add nodes this replaces, so the gradients are the same bits.
+    """
+    w = [_as_array(t) for t in weights]
+
+    def body(h):
+        return _attention_rows(h, h if kv is None else _as_array(kv), q_mask, kv_mask, bias, w, num_heads, kv is None)
+
+    y, grads = _sublayer(x, norm, eps, rate, rng, body)
+    inputs = [("x", x)] if kv is None else [("x", x), ("kv", kv)]
+    parents = inputs + [("gain", norm[0]), ("bias", norm[1])] + list(zip(ATTENTION_WEIGHTS, weights))
+    return _joint_node(y, parents, grads)
+
+
+def ffn_sublayer(x, norm, weights, eps: float, rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """The pre-norm feed-forward sublayer ``x + relu(layer_norm(x) @ w1 +
+    b1) @ w2 + b2`` over rows [N, d], as one node. ``weights`` follow
+    ``FFN_WEIGHTS``; ``norm``, ``rate`` and ``rng`` are as in
+    ``attention_sublayer``. The forward ReLU is this module's ``relu``.
+    """
+    w1, b1, w2, b2 = (_as_array(t) for t in weights)
+
+    def body(h):
+        out, r = ffn_forward(h, w1, b1, w2, b2, _relu_array)
+
+        def grads(g, wanted):
+            got = {}
+            if "w2" in wanted:
+                got["w2"] = r.T @ g
+            if "b2" in wanted:
+                got["b2"] = g.sum(axis=0)
+            if wanted & {"h", "w1", "b1"}:
+                da = (g @ w2.T) * (r > 0)
+                if "w1" in wanted:
+                    got["w1"] = h.T @ da
+                if "b1" in wanted:
+                    got["b1"] = da.sum(axis=0)
+                if "h" in wanted:
+                    got["h"] = da @ w1.T
+            return got
+
+        return out, grads
+
+    y, grads = _sublayer(x, norm, eps, rate, rng, body)
+    parents = [("x", x), ("gain", norm[0]), ("bias", norm[1])] + list(zip(FFN_WEIGHTS, weights))
+    return _joint_node(y, parents, grads)
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
@@ -674,13 +831,15 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
         raise ContractError(f"dropout rate must lie in [0, 1), got {p}")
     if p == 0.0:
         return x if isinstance(x, Tensor) else Tensor(x)
-    xa = _as_array(x)
-    keep = rng.random(xa.shape) >= p
+    out, back = _dropout_forward(_as_array(x), p, rng)
+    return _make(out, (x, back))
+
+
+def _dropout_forward(a: np.ndarray, p: float, rng: np.random.Generator):
+    """Inverted dropout of ``a`` on plain arrays: the output and its backward."""
+    keep = rng.random(a.shape) >= p
     scale = 1.0 / (1.0 - p)
-    return _make(
-        np.where(keep, xa * scale, 0.0),
-        (x, lambda g: np.where(keep, g * scale, 0.0)),
-    )
+    return np.where(keep, a * scale, 0.0), lambda g: np.where(keep, g * scale, 0.0)
 
 
 def stop_gradient(x) -> Tensor:

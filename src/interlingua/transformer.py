@@ -5,8 +5,9 @@ is shared between languages except the dimensionality of the encoder
 output, which is what lets any decoder consume any encoder's states.
 Blocks are pre-norm residual, attention masks are additive, and decoding
 is greedy. Training and teacher forcing run through the tape-based
-tensor core; a greedy step runs on plain arrays, off the tape, through
-the same attention and layer-norm forward.
+tensor core, one node per pre-norm sublayer; a greedy step runs the same
+block on plain arrays, off the tape, through those nodes' array-level
+forwards.
 """
 
 from __future__ import annotations
@@ -177,19 +178,27 @@ def _check_tokens(module: LanguageModule, tokens, what: str) -> np.ndarray:
     return tok
 
 
-def _attention(p: dict, prefix: str, q_in, kv_in, q_mask, kv_mask, bias, num_heads: int):
-    """One attention sublayer over packed rows, recorded as a single tape node."""
+def _attention(p: dict, prefix: str, norm: str, x, kv, q_mask, kv_mask, bias, cfg: ModelConfig, rng):
+    """The pre-norm attention sublayer ``x + attention(layer_norm(x), kv)``
+    over packed rows, one tape node; ``kv`` None is self-attention."""
     weights = [p[prefix + name] for name in T.ATTENTION_WEIGHTS]
-    return T.attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads)
+    return T.attention_sublayer(
+        x, kv, q_mask, kv_mask, bias, _norm(p, norm), weights, cfg.num_heads, LN_EPS, cfg.dropout, rng
+    )
 
 
-def _ffn(p: dict, prefix: str, x):
-    h = T.relu(T.linear(x, p[prefix + "w1"], p[prefix + "b1"]))
-    return T.linear(h, p[prefix + "w2"], p[prefix + "b2"])
+def _ffn(p: dict, prefix: str, norm: str, x, cfg: ModelConfig, rng):
+    """The pre-norm feed-forward sublayer ``x + ffn(layer_norm(x))``, one tape node."""
+    weights = [p[prefix + name] for name in T.FFN_WEIGHTS]
+    return T.ffn_sublayer(x, _norm(p, norm), weights, LN_EPS, cfg.dropout, rng)
+
+
+def _norm(p: dict, prefix: str) -> tuple:
+    return p[prefix + "gain"], p[prefix + "bias"]
 
 
 def _ln(p: dict, prefix: str, x):
-    return T.layer_norm(x, p[prefix + "gain"], p[prefix + "bias"], eps=LN_EPS)
+    return T.layer_norm(x, *_norm(p, prefix), eps=LN_EPS)
 
 
 def _key_bias(mask: np.ndarray) -> np.ndarray:
@@ -231,10 +240,8 @@ def encode(module: LanguageModule, tokens, dropout_rng=None) -> Tensor:
     x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"enc.{i}."
-        h = _ln(p, pre + "ln1.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, mask, mask, bias, cfg.num_heads), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln2.", x)
-        x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
+        x = _attention(p, pre + "self.", pre + "ln1.", x, None, mask, mask, bias, cfg, dropout_rng)
+        x = _ffn(p, pre + "ffn.", pre + "ln2.", x, cfg, dropout_rng)
     return _ln(p, "enc.final.", x)
 
 
@@ -272,54 +279,105 @@ def decode_teacher_forced(
         raise CompatibilityError(
             f"batch mismatch: latent has {src_mask.shape[0]} rows, target has {tok.shape[0]}"
         )
-    cfg, p, heads = module.config, module.params, module.config.num_heads
+    cfg, p = module.config, module.params
     mask = pad_mask(tok)
     causal, cross_bias = _causal_bias(tok.shape[1]), _key_bias(src_mask)
     x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"dec.{i}."
-        h = _ln(p, pre + "ln1.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "self.", h, h, mask, mask, causal, heads), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln2.", x)
-        x = T.add(x, _maybe_dropout(_attention(p, pre + "cross.", h, la, mask, src_mask, cross_bias, heads), cfg.dropout, dropout_rng))
-        h = _ln(p, pre + "ln3.", x)
-        x = T.add(x, _maybe_dropout(_ffn(p, pre + "ffn.", h), cfg.dropout, dropout_rng))
+        x = _attention(p, pre + "self.", pre + "ln1.", x, None, mask, mask, causal, cfg, dropout_rng)
+        x = _attention(p, pre + "cross.", pre + "ln2.", x, la, mask, src_mask, cross_bias, cfg, dropout_rng)
+        x = _ffn(p, pre + "ffn.", pre + "ln3.", x, cfg, dropout_rng)
     logits = T.linear(_ln(p, "dec.final.", x), p["out_proj"])
     return logits if packed else T.unpack(logits, mask)
 
 
-def _greedy_step(module: LanguageModule, p: dict, tok: np.ndarray, step: int, cache, cross, cross_bias) -> np.ndarray:
-    """Logits [B, V] of one greedy step, on plain arrays ``p`` of the
-    parameters: ``tok`` [B] holds each working row's newest token, at
-    position ``step``. Block i's self-attention keys and values of that
-    position are written to ``cache[i, :, :, :, step]``; ``cross`` holds
-    the latent's keys and values, split into heads like the cache.
+# a decoder block's matrices and vectors in the order _greedy_step reads
+# them; "self.wqkv" and "self.b" are the stacked q, k, v projections
+_STEP_MATRICES = ("self.wqkv", "self.wo", "cross.wq", "cross.wo", "ffn.w1", "ffn.w2")
+_STEP_VECTORS = (
+    "ln1.gain", "ln1.bias", "self.b", "self.bo", "ln2.gain", "ln2.bias", "cross.bq", "cross.bo",
+    "ln3.gain", "ln3.bias", "ffn.b1", "ffn.b2",
+)
+
+
+def _bind_decoder(module: LanguageModule, batch: int) -> tuple:
+    """The decoder's arrays, bound once per ``greedy_decode`` so that no
+    step looks a parameter up by name: the embedding table, each block's
+    ``_STEP_MATRICES``, each block's cross-attention key/value
+    projection and the output projection; and apart, the vectors
+    (``_STEP_VECTORS`` per block, then the final norm's) repeated
+    for ``batch`` rows on their second-to-last axis. numpy adds or
+    multiplies operands of one shape on a fast path that a broadcast row
+    misses, and the elementwise results are the same bits. Self-attention's
+    wq, wk, wv and bq, bk, bv, and cross-attention's wk, wv and bk, bv,
+    lie back to back in the module's buffer and are bound as stacked
+    views of it.
     """
-    cfg = module.config
-    b, heads = tok.shape[0], cfg.num_heads
-    dh = cfg.d_model // heads
+    a = {name: t.array for name, t in module.params.items()}
 
-    def ln(prefix, x):
-        return T.layer_norm_forward(x, p[prefix + "gain"], p[prefix + "bias"], LN_EPS)[0]
+    def stacked(prefix, names):
+        w = T.stacked_view([a[prefix + "w" + n] for n in names])
+        return w, T.stacked_view([a[prefix + "b" + n] for n in names])
 
-    def attention(prefix, h, k, v, bias):
-        q = (h @ p[prefix + "wq"] + p[prefix + "bq"]).reshape(b, heads, 1, dh)
-        ctx, _ = T.attend(q, k, v, bias)
-        return ctx.reshape(b, cfg.d_model) @ p[prefix + "wo"] + p[prefix + "bo"]
+    def rows(v):
+        return np.repeat(v[..., None, :], batch, axis=-2)
 
-    x = p["emb"][tok] * math.sqrt(cfg.d_model) + module._pe[step]
-    for i in range(cfg.num_blocks):
+    matrices, cross_kv, vectors = [], [], []
+    for i in range(module.config.num_blocks):
         pre = f"dec.{i}."
-        h = ln(pre + "ln1.", x)
-        for j, name in enumerate("kv"):
-            cache[i, j, :, :, step] = (h @ p[pre + "self.w" + name] + p[pre + "self.b" + name]).reshape(b, heads, dh)
-        x = x + attention(pre + "self.", h, cache[i, 0, :, :, : step + 1], cache[i, 1, :, :, : step + 1], None)
-        h = ln(pre + "ln2.", x)
-        x = x + attention(pre + "cross.", h, cross[i, 0], cross[i, 1], cross_bias)
-        h = ln(pre + "ln3.", x)
-        ff = np.maximum(h @ p[pre + "ffn.w1"] + p[pre + "ffn.b1"], 0.0)
-        x = x + (ff @ p[pre + "ffn.w2"] + p[pre + "ffn.b2"])
-    return ln("dec.final.", x) @ p["out_proj"]
+        a[pre + "self.wqkv"], a[pre + "self.b"] = stacked(pre + "self.", "qkv")
+        matrices.append([a[pre + n] for n in _STEP_MATRICES])
+        vectors.append([rows(a[pre + n]) for n in _STEP_VECTORS])
+        w, b = stacked(pre + "cross.", "kv")
+        cross_kv.append((w, b[:, None]))
+    vectors.append([rows(a["dec.final.gain"]), rows(a["dec.final.bias"])])
+    return (a["emb"], matrices, cross_kv, a["out_proj"]), vectors
+
+
+def _first_rows(vectors: list, b: int) -> list:
+    """The repeated vectors of ``_bind_decoder`` cut to their first ``b`` rows."""
+    return [[np.ascontiguousarray(v[..., :b, :]) for v in block] for block in vectors]
+
+
+def _relu_in_place(a: np.ndarray) -> np.ndarray:
+    return np.maximum(a, 0.0, out=a)
+
+
+def _attend_rows(q, k, v, bias, wo, bo) -> np.ndarray:
+    """Attention of one query per row, ``q`` [B, h, 1, d / h], projected
+    back to rows [B, d] by ``wo`` and ``bo``."""
+    ctx, _ = T.attend(q, k, v, bias)
+    return T.affine(ctx.reshape(q.shape[0], -1), wo, bo)
+
+
+def _greedy_step(module: LanguageModule, bound: tuple, vectors: list, tok: np.ndarray, step: int, cache, cross,
+                 cross_bias) -> np.ndarray:
+    """Logits [B, V] of one greedy step, on the arrays ``_bind_decoder``
+    bound, its vectors cut to the B working rows: ``tok`` [B] holds each
+    working row's newest token, at position ``step``. Block i's
+    self-attention keys and values of that position are written to
+    ``cache[i, :, :, :, step]``; ``cross`` holds the latent's keys and
+    values, split into heads like the cache. The block is the training
+    one's sublayers through their array-level forwards, with the residual
+    adds and the ReLU in place.
+    """
+    emb, matrices, _, out_proj = bound
+    b, heads = tok.shape[0], module.config.num_heads
+    shape = (b, heads, 1, module.config.d_model // heads)
+    x = emb[tok]
+    x *= math.sqrt(module.config.d_model)
+    x += module._pe[step]
+    for i, ((wqkv, wo, wq, cross_wo, w1, w2), (g1, c1, bqkv, bo, g2, c2, bq, cross_bo, g3, c3, b1, b2)) in enumerate(
+        zip(matrices, vectors)
+    ):
+        qkv = T.affine(T.layer_norm_forward(x, g1, c1, LN_EPS)[0], wqkv, bqkv).reshape(3, *shape)
+        cache[i, :, :, :, step] = qkv[1:, :, :, 0]
+        x += _attend_rows(qkv[0], cache[i, 0, :, :, : step + 1], cache[i, 1, :, :, : step + 1], None, wo, bo)
+        q = T.affine(T.layer_norm_forward(x, g2, c2, LN_EPS)[0], wq, bq).reshape(shape)
+        x += _attend_rows(q, cross[i, 0], cross[i, 1], cross_bias, cross_wo, cross_bo)
+        x += T.ffn_forward(T.layer_norm_forward(x, g3, c3, LN_EPS)[0], w1, b1, w2, b2, _relu_in_place)[0]
+    return T.layer_norm_forward(x, *vectors[-1], LN_EPS)[0] @ out_proj
 
 
 def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> list[list[int]]:
@@ -335,8 +393,9 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
     only the newest token, whose query attends over the cached
     self-attention keys and values of the positions up to it, so no step
     re-decodes the prefix. Rows leave the working batch when they
-    emit eos. Steps run off the tape, on plain arrays, through the same
-    ``tensor.attend`` and layer-norm forward as the training path.
+    emit eos. Steps run off the tape, on plain arrays bound once per
+    call, through the same layer-norm, projection, ``tensor.attend`` and
+    feed-forward forwards as the training path.
     """
     if max_steps < 1:
         raise ContractError(f"max_steps must be positive, got {max_steps}")
@@ -345,20 +404,18 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
         raise LengthError(f"max_steps {max_steps} exceeds the position table ({cfg.max_len})")
     la, src_mask = _check_latent(module, latent, src_mask)
     batch, heads = src_mask.shape[0], cfg.num_heads
-    p = {name: t.array for name, t in module.params.items()}
+    bound, vectors = _bind_decoder(module, batch)
     # [num_blocks, 2, B, h, S, d / h] like the cache, so dropping rows is one index
-    cross = np.array([
-        [T._heads(la.array @ p[f"dec.{i}.cross.w{n}"] + p[f"dec.{i}.cross.b{n}"], src_mask, heads) for n in "kv"]
-        for i in range(cfg.num_blocks)
-    ])
-    cross_bias = _key_bias(src_mask)
+    cross = np.array([[T._heads(kv, src_mask, heads) for kv in T.affine(la.array, *wb)] for wb in bound[2]])
+    # repeated for each head, like the vectors: the scores add it on the fast path
+    cross_bias = np.repeat(_key_bias(src_mask), heads, axis=1)
     cache = np.empty((cfg.num_blocks, 2, batch, heads, max_steps, cfg.d_model // heads))
     rows = np.arange(batch)  # original index of each working row
     tok = np.full(batch, BOS_ID, dtype=np.int64)
     out = np.full((batch, max_steps), PAD_ID, dtype=np.int64)
     lengths = np.full(batch, max_steps)
     for step in range(max_steps):
-        logits = _greedy_step(module, p, tok, step, cache, cross, cross_bias)
+        logits = _greedy_step(module, bound, vectors, tok, step, cache, cross, cross_bias)
         logits[:, PAD_ID] = -np.inf
         logits[:, BOS_ID] = -np.inf
         tok = logits.argmax(axis=-1)
@@ -370,4 +427,5 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
             cross, cache = cross[:, :, live], cache[:, :, live]
             if rows.size == 0:
                 break
+            vectors = _first_rows(vectors, rows.size)
     return [row[:n] for row, n in zip(out.tolist(), lengths.tolist())]

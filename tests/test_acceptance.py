@@ -148,7 +148,7 @@ VALUE_OPS = {
     "matmul", "linear", "transpose", "reshape", "concat",
     "reduce_sum", "reduce_mean", "reduce_max",
     "softmax", "layer_norm", "cross_entropy", "embedding", "dropout",
-    "pack", "unpack", "segment_mean", "attention",
+    "pack", "unpack", "segment_mean", "attention", "attention_sublayer", "ffn_sublayer",
 }
 
 
@@ -216,6 +216,38 @@ def _op_cases(seed):
 
     attention_cases = [("attention", *attention_case(*spec)) for spec in att.values()]
 
+    def drop(rate):
+        # a fresh generator per evaluation: every probe sees the same mask
+        return lambda: np.random.default_rng(seed) if rate else None
+
+    def attention_sublayer_case(q_mask, kv_mask, bias, rate):
+        x = rng.normal(size=(int(q_mask.sum()), 4))
+        norm = [rng.normal(size=(4,)) + 1.0, rng.normal(size=(4,))]
+        weights = [rng.normal(size=(4, 4) if i % 2 == 0 else (4,)) for i in range(8)]
+        wgt, rng_of = rng.normal(size=x.shape), drop(rate)
+
+        def build(tx, tkv, tg, tb, *tw):
+            masks = (q_mask, q_mask if kv_mask is None else kv_mask)
+            return s(T.attention_sublayer(tx, tkv, *masks, bias, (tg, tb), tw, 2, 1e-6, rate, rng_of()), wgt)
+
+        if kv_mask is None:
+            return [x] + norm + weights, lambda tx, *rest: build(tx, None, *rest)
+        return [x, rng.normal(size=(int(kv_mask.sum()), 4))] + norm + weights, build
+
+    sublayer_cases = [
+        ("attention_sublayer", *attention_sublayer_case(*spec, rate))
+        for spec, rate in zip(att.values(), (0.0, 0.35, 0.35, 0.0))
+    ]
+
+    def ffn_sublayer_case(rate):
+        x = rng.normal(size=(5, 4))
+        norm = [rng.normal(size=(4,)) + 1.0, rng.normal(size=(4,))]
+        weights = [rng.normal(size=(4, 6)), rng.normal(size=(6,)), rng.normal(size=(6, 4)), rng.normal(size=(4,))]
+        wgt, rng_of = rng.normal(size=x.shape), drop(rate)
+        return [x] + norm + weights, lambda tx, tg, tb, *tw: s(T.ffn_sublayer(tx, (tg, tb), tw, 1e-6, rate, rng_of()), wgt)
+
+    sublayer_cases += [("ffn_sublayer", *ffn_sublayer_case(rate)) for rate in (0.0, 0.35)]
+
     return [
         ("add", [a, b], lambda ta, tb: s(T.add(ta, tb), w)),
         ("sub", [a, b], lambda ta, tb: s(T.sub(ta, tb), w)),
@@ -247,7 +279,7 @@ def _op_cases(seed):
         ("unpack", [prows], lambda tv: s(T.unpack(tv, pmask), wprows)),
         ("segment_mean", [seg], lambda tv: s(T.segment_mean(tv, np.array([3, 2])), wseg)),
         ("embedding", [table], lambda tt: s(T.embedding(tt, ids, 1.5, wemb), wemb)),
-    ] + attention_cases
+    ] + attention_cases + sublayer_cases
 
 
 def _entry_fd(f, arr, idx, step=1e-5):

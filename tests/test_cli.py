@@ -173,6 +173,25 @@ class TestPrepare:
         one_error_line(err, "config")
         assert [p.name for p in out_dir(project).iterdir()] == [EFFECTIVE_CONFIG]
 
+    def test_test_text_that_is_not_utf8_leaves_the_artifacts(self, project, capsys):
+        # every input is read before the first write: the test text is read
+        # last, and a bad one must not leave new tables or a new train split
+        assert run(capsys, "prepare", "--config", str(project))[0] == 0
+        run_dir = out_dir(project)
+        # the effective config records each command, so it is not compared
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != EFFECTIVE_CONFIG}
+        bad = project.parent / "toydata" / "test.bad"
+        bad.write_bytes(b"\xff\xfe 1\n" * 6)
+        code, _, err = run(
+            capsys, "prepare", "--config", str(project), "--set", f"data.test_y={bad}",
+            "--set", "data.bpe_merges=7",
+        )
+        assert code == 1
+        one_error_line(err, "config")
+        assert f"{bad} is not UTF-8" in err
+        after = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != EFFECTIVE_CONFIG}
+        assert after == before
+
     def test_pairs_longer_than_max_len_are_dropped(self, project, capsys):
         # 12 unseen 6-letter words segment into about 72 ids, far beyond
         # model.max_len; eval and interlingua-eval used to fail on the split
@@ -443,6 +462,49 @@ class TestTrain:
             one_error_line(err, "lock")
             assert lock.read_text(encoding="utf-8") == holder + "\n"
         lock.unlink()
+
+    def test_lock_marker_that_is_not_utf8_blocks(self, project, capsys):
+        run(capsys, "prepare", "--config", str(project))
+        assert run(capsys, "train", "--config", str(project))[0] == 0
+        lock = out_dir(project) / ".lock"
+        # printf '\xff\xfe 1\n' > run/.lock
+        lock.write_bytes(b"\xff\xfe 1\n")
+        code, _, err = run(capsys, "train", "--config", str(project), "--resume", "--steps", "1")
+        assert code == 1
+        one_error_line(err, "lock")
+        assert lock.read_bytes() == b"\xff\xfe 1\n"
+
+    def test_final_checkpoint_links_the_last_periodic_one(self, project, capsys):
+        run(capsys, "prepare", "--config", str(project))
+        every = ("--set", "train.checkpoint_every=3")
+        assert run(capsys, "train", "--config", str(project), *every)[0] == 0
+        run_dir = out_dir(project)
+        periodic, final = run_dir / "checkpoint-000006.ckpt", run_dir / "checkpoint-final.ckpt"
+        assert final.read_bytes() == periodic.read_bytes()
+        assert final.samefile(periodic)
+        saved = periodic.read_bytes()
+        # the resumed run ends off the periodic grid, so its final checkpoint
+        # is written, by rename, and the linked file keeps its bytes
+        assert run(capsys, "train", "--config", str(project), *every, "--resume", "--steps", "7")[0] == 0
+        assert periodic.read_bytes() == saved
+        assert not final.samefile(periodic)
+        _, state, _ = load_checkpoint(final)
+        assert state.step == 7
+        assert not list(run_dir.glob(".*.partial"))
+
+    def test_final_checkpoint_is_written_where_links_fail(self, project, capsys, monkeypatch):
+        run(capsys, "prepare", "--config", str(project))
+
+        def refuse(*args):
+            raise OSError("links not supported")
+
+        monkeypatch.setattr(os, "link", refuse)
+        code, _, err = run(capsys, "train", "--config", str(project), "--set", "train.checkpoint_every=3")
+        assert code == 0, err
+        run_dir = out_dir(project)
+        periodic, final = run_dir / "checkpoint-000006.ckpt", run_dir / "checkpoint-final.ckpt"
+        assert final.read_bytes() == periodic.read_bytes()
+        assert not final.samefile(periodic)
 
     def test_stale_lock_of_dead_process_is_taken_over(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))

@@ -743,3 +743,117 @@ class TestAttentionNode:
             T.attention(q, kv, mask, mask, None, weights[:7], 2)
         with pytest.raises(ShapeError):
             T.attention(q, kv, mask, mask, None, weights, 3)
+
+
+def composed_sublayer(kind, x, kv, q_mask, kv_mask, bias, norm, weights, rate, rng):
+    """The layer_norm, attention or linear/relu/linear, dropout and add
+    nodes that one sublayer node replaces."""
+    h = T.layer_norm(x, *norm)
+    if kind == "ffn":
+        w1, b1, w2, b2 = weights
+        out = T.linear(T.relu(T.linear(h, w1, b1)), w2, b2)
+    else:
+        out = T.attention(h, h if kv is None else kv, q_mask, kv_mask, bias, weights, 2)
+    return T.add(x, T.dropout(out, rate, rng) if rng is not None else out)
+
+
+def fused_sublayer(kind, x, kv, q_mask, kv_mask, bias, norm, weights, rate, rng):
+    if kind == "ffn":
+        return T.ffn_sublayer(x, norm, weights, 1e-6, rate, rng)
+    return T.attention_sublayer(x, kv, q_mask, kv_mask, bias, norm, weights, 2, 1e-6, rate, rng)
+
+
+class TestSublayerNodes:
+    @pytest.mark.parametrize("kind", ["self", "cross", "ffn"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("taped", ["all", "input", "weights", "latent"])
+    def test_match_their_composition_bit_for_bit(self, kind, rate, taped):
+        # the node keeps the composition's arithmetic and draws its dropout
+        # mask at the same point, so the output and every gradient agree
+        # exactly, whichever parents are constants
+        rng = np.random.default_rng(3)
+        q_mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], bool)
+        kv_mask = np.array([[1, 1, 0], [1, 1, 1]], bool) if kind == "cross" else q_mask
+        d = 8
+        x = rng.normal(size=(int(q_mask.sum()), d))
+        kv = rng.normal(size=(int(kv_mask.sum()), d)) if kind == "cross" else None
+        norm = [rng.normal(size=d) + 1.0, rng.normal(size=d)]
+        if kind == "ffn":
+            weights = [rng.normal(size=(d, 16)), rng.normal(size=16), rng.normal(size=(16, d)), rng.normal(size=d)]
+        else:
+            weights = attention_case(rng, q_mask, kv_mask, d=d)[2]
+        bias = causal_bias(4) if kind == "self" else key_bias(kv_mask)
+        wgt = rng.normal(size=x.shape)
+        results = []
+        for build in (fused_sublayer, composed_sublayer):
+            tape = T.GradTape()
+            watch = {
+                "x": taped in ("all", "input"),
+                "kv": taped in ("all", "latent"),
+                "w": taped in ("all", "weights"),
+            }
+            tx = tape.watch(T.Tensor(x)) if watch["x"] else x
+            tkv = tape.watch(T.Tensor(kv)) if kv is not None and watch["kv"] else kv
+            tn = [tape.watch(T.Tensor(a)) if watch["w"] else a for a in norm]
+            tw = [tape.watch(T.Tensor(a)) if watch["w"] else a for a in weights]
+            out = build(kind, tx, tkv, q_mask, kv_mask, bias, tn, tw, rate, np.random.default_rng(11))
+            leaves = [t for t in [tx, tkv] + tn + tw if isinstance(t, T.Tensor)]
+            if not leaves:
+                assert out.tape is None
+                results.append([out.array])
+                continue
+            grads = T.backward(T.reduce_sum(T.mul(out, wgt)))
+            results.append([out.array] + [np.array(grads[t]) for t in leaves])
+            tape.release()
+        assert len(results[0]) == len(results[1])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_one_node_per_sublayer(self):
+        rng = np.random.default_rng(4)
+        mask = np.ones((2, 3), bool)
+        x = rng.normal(size=(6, 4))
+        tape = T.GradTape()
+        tx = tape.watch(T.Tensor(x))
+        norm = [np.ones(4), np.zeros(4)]
+        y = T.attention_sublayer(tx, None, mask, mask, None, norm, attention_case(rng, mask, mask)[2], 2, 1e-6)
+        ffn = [rng.normal(size=(4, 8)), np.zeros(8), rng.normal(size=(8, 4)), np.zeros(4)]
+        T.ffn_sublayer(y, norm, ffn, 1e-6)
+        assert len(tape) == 3
+        tape.release()
+
+    def test_shape_and_rate_checks(self):
+        rng = np.random.default_rng(5)
+        mask = np.ones((2, 3), bool)
+        x = rng.normal(size=(6, 4))
+        weights = attention_case(rng, mask, mask)[2]
+        ffn = [rng.normal(size=(4, 8)), np.zeros(8), rng.normal(size=(8, 4)), np.zeros(4)]
+        norm = [np.ones(4), np.zeros(4)]
+        with pytest.raises(ShapeError):
+            T.attention_sublayer(x.reshape(2, 3, 4), None, mask, mask, None, norm, weights, 2, 1e-6)
+        with pytest.raises(ShapeError):
+            T.ffn_sublayer(x, [np.ones(3), np.zeros(4)], ffn, 1e-6)
+        with pytest.raises(ShapeError):
+            T.attention_sublayer(x[:5], None, mask, mask, None, norm, weights, 2, 1e-6)
+        with pytest.raises(ContractError):
+            T.ffn_sublayer(x, norm, ffn, 1e-6, 1.0, rng)
+
+
+class TestStackedView:
+    def test_views_of_one_buffer_stack_without_a_copy(self):
+        tensors = T.tensors_in_one_buffer([(2, 3)] * 3 + [(3,)], [np.full((2, 3), float(i)) for i in range(3)] + [0.0])
+        arrays = [t.array for t in tensors[:3]]
+        view = T.stacked_view(arrays)
+        assert view.shape == (3, 2, 3) and all(np.shares_memory(view[i], a) for i, a in enumerate(arrays))
+        arrays[1][0, 0] = 7.0
+        assert view[1, 0, 0] == 7.0
+
+    def test_arrays_apart_or_of_other_shapes_are_refused(self):
+        tensors = T.tensors_in_one_buffer([(2, 3)] * 3 + [(6,)], [0.0] * 4)
+        arrays = [t.array for t in tensors]
+        with pytest.raises(ContractError):
+            T.stacked_view([arrays[0], arrays[2]])
+        with pytest.raises(ContractError):
+            T.stacked_view([np.zeros((2, 3)), np.zeros((2, 3))])
+        with pytest.raises(ContractError):
+            T.stacked_view([arrays[2], arrays[3]])

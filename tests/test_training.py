@@ -302,8 +302,9 @@ class TestPackedObjective:
             np.testing.assert_allclose(wide_grads[name], ref, rtol=0, atol=1e-12, err_msg=name)
 
     # the case ids keep the ceilings set with the pad-free objective (195
-    # toy, 300 wide); one pass per decoder lowered them to these budgets
-    NODE_BUDGET = {"toy": 120, "wide": 215}
+    # toy, 300 wide); one pass per decoder, then one node per pre-norm
+    # sublayer (58 toy, 94 wide), lowered them to these budgets
+    NODE_BUDGET = {"toy": 60, "wide": 100}
 
     @pytest.mark.parametrize("config, ceiling", [("toy", 195), ("wide", 300)])
     def test_op_nodes_per_step(self, toy_corpus, config, ceiling):
@@ -326,6 +327,74 @@ class TestPackedObjective:
         budget = self.NODE_BUDGET[config]
         assert budget <= ceiling
         assert nodes <= budget, f"{nodes} op nodes per {config} step, budget {budget}"
+
+    def test_one_relu_call_per_ffn_sublayer(self, toy_corpus, monkeypatch):
+        # perfbench's gradient check wraps tensor.relu to record and replay
+        # each ReLU gate; a feed-forward node that skipped it would leave the
+        # check's central difference crossing ReLU kinks
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = TOY
+        cfg = fast_train_config(**train_kw)
+        system = build_system(model, {lang: len(v) for lang, v in vocabs.items()}, seed=0)
+        calls = []
+        real = T.relu
+        monkeypatch.setattr(T, "relu", lambda a: calls.append(1) or real(a))
+        joint_loss(sample_batch(corpus, cfg.batch_size, cfg.seed, 0), system, cfg)
+        # two encoders and two decoder passes of two blocks each
+        assert len(calls) == 4 * model.num_blocks == 8
+
+    @pytest.mark.parametrize("config", ["toy", "wide"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("trainable", [None, "x"], ids=["all", "y-frozen"])
+    def test_sublayer_nodes_match_their_composition(self, toy_corpus, monkeypatch, config, dropout, trainable):
+        # each sublayer node against the layer_norm, attention or
+        # linear/relu/linear, dropout and add nodes it replaces: the node
+        # keeps their arithmetic, so loss and gradients agree bit for bit;
+        # with module y frozen its parameters are constants, so some nodes
+        # have constant parents (a cross-attention whose only taped input
+        # is the latent, from x's encoder)
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = {"toy": TOY, "wide": WIDE}[config]
+        model = dataclasses.replace(model, dropout=dropout)
+        cfg = fast_train_config(**{**train_kw, "batch_size": 8})
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, 0)
+        sizes = {lang: len(v) for lang, v in vocabs.items()}
+
+        def composed_attention(x, kv, q_mask, kv_mask, bias, norm, weights, num_heads, eps, rate, rng):
+            h = T.layer_norm(x, *norm, eps=eps)
+            out = T.attention(h, h if kv is None else kv, q_mask, kv_mask, bias, weights, num_heads)
+            return T.add(x, T.dropout(out, rate, rng) if rng is not None else out)
+
+        def composed_ffn(x, norm, weights, eps, rate, rng):
+            w1, b1, w2, b2 = weights
+            out = T.linear(T.relu(T.linear(T.layer_norm(x, *norm, eps=eps), w1, b1)), w2, b2)
+            return T.add(x, T.dropout(out, rate, rng) if rng is not None else out)
+
+        runs = []
+        for composed in (False, True):
+            if composed:
+                monkeypatch.setattr(T, "attention_sublayer", composed_attention)
+                monkeypatch.setattr(T, "ffn_sublayer", composed_ffn)
+            system = build_system(model, sizes, seed=0, quantize_latent=cfg.quantize)
+            params = {
+                name: t for name, t in system.named_parameters().items()
+                if trainable is None or name.startswith(trainable + "/")
+            }
+            tape = T.GradTape()
+            try:
+                for t in params.values():
+                    tape.watch(t)
+                rng = np.random.default_rng(5) if dropout else None
+                loss, _ = joint_loss(batch, system, cfg, rng)
+                grads = T.backward(loss)
+                runs.append((loss.item(), {name: np.array(grads[t]) for name, t in params.items()}))
+            finally:
+                tape.release()
+        (loss, grads), (want_loss, want_grads) = runs
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
     def test_step_tape_dies_with_the_step(self, toy_corpus, monkeypatch):
         # with the cyclic collector off, a grad closure that kept a Tensor
