@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import io
 import json
 import os
 import socket
@@ -199,8 +200,9 @@ def echo_config(cp: configparser.ConfigParser, base: Path, out: Path):
         if value:
             echo[section][key] = str(_resolve(base, value))
     echo["output"]["dir"] = str(out)
-    with open(out / EFFECTIVE_CONFIG, "w", encoding="utf-8") as fh:
-        echo.write(fh)
+    text = io.StringIO()
+    echo.write(text)
+    D.replace_text(out / EFFECTIVE_CONFIG, text.getvalue())
 
 
 def setting(cp, section: str, key: str, kind: type):
@@ -305,7 +307,7 @@ def corpus_path(out: Path, split: str) -> Path:
 
 
 def write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    D.replace_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def learn_side(cp, text: Path) -> tuple[D.BpeModel, D.Vocabulary]:

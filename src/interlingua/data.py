@@ -152,8 +152,7 @@ def reverse_bpe(tokens: list[str]) -> list[str]:
 def save_bpe(model: BpeModel, path):
     lines = [f"#merges {len(model.merges)}"]
     lines += [f"{a} {b}" for a, b in model.merges]
-    with replacing(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    replace_text(path, "\n".join(lines) + "\n")
 
 
 def load_bpe(path) -> BpeModel:
@@ -208,8 +207,7 @@ class Vocabulary:
 
     def save(self, path):
         # reserved entries are implicit; one real token per line, ids by order
-        with replacing(path) as fh:
-            fh.write(("\n".join(self.id_to_token[len(RESERVED_TOKENS) :]) + "\n").encode("utf-8"))
+        replace_text(path, "\n".join(self.id_to_token[len(RESERVED_TOKENS) :]) + "\n")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -322,6 +320,12 @@ def replacing(path):
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+def replace_text(path, text: str):
+    """``text`` as UTF-8 over ``path``, through ``replacing``."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def read_text(path) -> str:

@@ -64,6 +64,17 @@ def _ngrams(words: list[str], n: int) -> Counter:
     return Counter(zip(*(words[i:] for i in range(n))))
 
 
+def scoring_stats(lines) -> list[tuple[int, list[Counter]]]:
+    """What BLEU reads of each line of tokens: its word count and its
+    1- to ``MAX_ORDER``-gram counts. A line scored several times is
+    converted once."""
+    stats = []
+    for tokens in lines:
+        words = scoring_words(tokens)
+        stats.append((len(words), [_ngrams(words, n) for n in range(1, MAX_ORDER + 1)]))
+    return stats
+
+
 def bleu(hypotheses, references) -> BleuReport:
     """Corpus BLEU over parallel lines of tokens.
 
@@ -73,8 +84,11 @@ def bleu(hypotheses, references) -> BleuReport:
     inputs score identically. A zero precision at any order floors the
     score to 0 rather than smoothing it.
     """
-    hypotheses = list(hypotheses)
-    references = list(references)
+    return bleu_of_stats(scoring_stats(hypotheses), scoring_stats(references))
+
+
+def bleu_of_stats(hypotheses, references) -> BleuReport:
+    """``bleu`` of lines already turned into ``scoring_stats``."""
     if not hypotheses:
         raise ContractError("cannot score an empty hypothesis set")
     if len(hypotheses) != len(references):
@@ -85,18 +99,15 @@ def bleu(hypotheses, references) -> BleuReport:
     total = [0] * MAX_ORDER
     hyp_len = 0
     ref_len = 0
-    for hyp_tokens, ref_tokens in zip(hypotheses, references):
-        hyp = scoring_words(hyp_tokens)
-        ref = scoring_words(ref_tokens)
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for n in range(1, MAX_ORDER + 1):
-            counts = _ngrams(hyp, n)
+    for (hyp_words, hyp_counts), (ref_words, ref_counts) in zip(hypotheses, references):
+        hyp_len += hyp_words
+        ref_len += ref_words
+        for n, (counts, ref_n) in enumerate(zip(hyp_counts, ref_counts), 1):
             if not counts:
                 continue
-            ref_counts = _ngrams(ref, n)
-            total[n - 1] += max(len(hyp) - n + 1, 0)
-            clipped[n - 1] += sum(min(c, ref_counts[g]) for g, c in counts.items())
+            total[n - 1] += max(hyp_words - n + 1, 0)
+            # a Counter reads a missing n-gram as 0 without storing it
+            clipped[n - 1] += sum(min(c, ref_n[g]) for g, c in counts.items())
     precisions = tuple(
         clipped[i] / total[i] if total[i] > 0 else 0.0 for i in range(MAX_ORDER)
     )
@@ -169,12 +180,14 @@ def interlingua_eval(
         decoded = [vocab.decode(row) for row in ids]
         auto, translated = decoded[: len(corpus)], decoded[len(corpus) :]
         refs = [vocab.decode(row) for row in corpus.sequences[decoder_lang]]
+        # each list is scored twice, so it is converted once
+        auto, translated, refs = (scoring_stats(lines) for lines in (auto, translated, refs))
         reports.append(InterlinguaReport(
             decoder_lang=decoder_lang,
             encoder_lang=other,
-            bleu_autoencoder=bleu(auto, refs),
-            bleu_translation=bleu(translated, refs),
-            bleu_agreement=bleu(translated, auto),
+            bleu_autoencoder=bleu_of_stats(auto, refs),
+            bleu_translation=bleu_of_stats(translated, refs),
+            bleu_agreement=bleu_of_stats(translated, auto),
         ))
     return reports
 

@@ -13,6 +13,7 @@ op; they are treated as constants and receive no gradient.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -371,15 +372,18 @@ def concat(tensors, axis: int) -> Tensor:
     return _make(out, *specs)
 
 
+# the reductions' and cross_entropy's backwards keep their input's shape,
+# not the input, so the input is freed with its Tensor
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     aa = _as_array(a)
     out = np.sum(aa, axis=axis, keepdims=keepdims)
+    shape = aa.shape
 
     def fn(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        return np.broadcast_to(gg, aa.shape)
+        return np.broadcast_to(gg, shape)
 
     return _make(np.asarray(out), (a, fn))
 
@@ -388,12 +392,13 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
     aa = _as_array(a)
     out = np.mean(aa, axis=axis, keepdims=keepdims)
     count = aa.size / max(np.asarray(out).size, 1)
+    shape = aa.shape
 
     def fn(g):
         gg = g
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        return np.broadcast_to(gg, aa.shape) / count
+        return np.broadcast_to(gg, shape) / count
 
     return _make(np.asarray(out), (a, fn))
 
@@ -401,11 +406,12 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def reduce_max(a) -> Tensor:
     """Global maximum; the subgradient flows to the first maximal element."""
     aa = _as_array(a)
-    idx = np.unravel_index(int(np.argmax(aa)), aa.shape)
+    shape = aa.shape
+    idx = np.unravel_index(int(np.argmax(aa)), shape)
     out = np.asarray(aa[idx])
 
     def fn(g):
-        z = np.zeros_like(aa)
+        z = np.zeros(shape)
         z[idx] = g
         return z
 
@@ -500,6 +506,7 @@ def cross_entropy(logits, targets, rows: slice | None = None) -> Tensor:
     lse = np.log(np.sum(np.exp(z), axis=-1))
     picked = np.take_along_axis(z, t[..., None], axis=-1)[..., 0]
     loss = np.asarray((lse - picked)[mask].sum() / count)
+    shape = full.shape
 
     def fn(g):
         p = np.exp(z - lse[..., None])
@@ -509,7 +516,7 @@ def cross_entropy(logits, targets, rows: slice | None = None) -> Tensor:
         p *= g / count
         if rows is None:
             return p
-        spread = np.zeros(full.shape)
+        spread = np.zeros(shape)
         spread[rows] = p
         return spread
 
@@ -585,18 +592,40 @@ def segment_mean(x, counts) -> Tensor:
     return _make(out, (x, lambda g: np.repeat(g * inv, counts, axis=0)))
 
 
-def _heads(rows: np.ndarray, mask: np.ndarray, num_heads: int) -> np.ndarray:
-    """Packed rows [N, d] of ``mask``'s True entries as zero-padded heads [B, h, T, d / h]."""
-    (b, t), d = mask.shape, rows.shape[-1]
+class RowIndex(NamedTuple):
+    """A [B, T] boolean mask and ``np.nonzero`` of it, the (row, column)
+    indices its packed rows scatter to and gather from. A pass derives it
+    once per mask (``row_index``); every sublayer of the pass and every
+    backward then reuses it."""
+
+    mask: np.ndarray
+    at: tuple[np.ndarray, np.ndarray]
+
+
+def row_index(mask) -> RowIndex:
+    """The ``RowIndex`` of a [B, T] mask."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ShapeError(f"a row mask must be [B, T], got {mask.shape}")
+    return RowIndex(mask, np.nonzero(mask))
+
+
+def _row_index(mask) -> RowIndex:
+    return mask if isinstance(mask, RowIndex) else row_index(mask)
+
+
+def _heads(rows: np.ndarray, index: RowIndex, num_heads: int) -> np.ndarray:
+    """Packed rows [N, d] of ``index``'s True entries as zero-padded heads [B, h, T, d / h]."""
+    (b, t), d = index.mask.shape, rows.shape[-1]
     dense = np.zeros((b, t, d))
-    dense[mask] = rows
+    dense[index.at] = rows
     return dense.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _rows(heads: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Inverse of ``_heads``: the rows [N, d] of ``mask``'s True entries."""
+def _rows(heads: np.ndarray, index: RowIndex) -> np.ndarray:
+    """Inverse of ``_heads``: the rows [N, d] of ``index``'s True entries."""
     b, h, t, dh = heads.shape
-    return heads.transpose(0, 2, 1, 3)[mask].reshape(-1, h * dh)
+    return heads.transpose(0, 2, 1, 3)[index.at].reshape(-1, h * dh)
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias):
@@ -661,38 +690,42 @@ def _joint_node(out, parents, all_grads) -> Tensor:
 
 def _attention_rows(qa, kva, q_mask, kv_mask, bias, weights, num_heads: int, fused: bool):
     """One multi-head attention over packed rows on plain arrays: the
-    output rows and ``grads(g, wanted)``, the backward for ``_joint_node``
-    under the names of ``ATTENTION_WEIGHTS`` plus "h" (the query rows;
-    with ``fused``, the rows that are also keys and values) and "kv"."""
-    q_mask, kv_mask = np.asarray(q_mask, dtype=bool), np.asarray(kv_mask, dtype=bool)
+    output rows and ``grads(g, wanted, qa, kva)``, the backward for
+    ``_joint_node`` under the names of ``ATTENTION_WEIGHTS`` plus "h" (the
+    query rows; with ``fused``, the rows that are also keys and values)
+    and "kv". The backward is handed the query and key/value rows again
+    rather than holding them, so a caller that can rebuild them need not
+    keep them. The masks are [B, T] masks or their ``row_index``."""
+    q_at, kv_at = _row_index(q_mask), _row_index(kv_mask)
     if len(weights) != 8:
         raise ShapeError(f"attention needs 8 weights, got {len(weights)}")
     wq, bq, wk, bk, wv, bv, wo, bo = weights
     d = wq.shape[0]
     if qa.ndim != 2 or kva.ndim != 2 or qa.shape[1] != d or kva.shape[1] != d:
         raise ShapeError(f"attention needs [N, {d}] rows, got {qa.shape} and {kva.shape}")
-    if qa.shape[0] != q_mask.sum() or kva.shape[0] != kv_mask.sum() or q_mask.shape[0] != kv_mask.shape[0]:
-        raise ShapeError(f"rows {qa.shape[0]}/{kva.shape[0]} do not fill masks {q_mask.shape}/{kv_mask.shape}")
+    q_shape, kv_shape = q_at.mask.shape, kv_at.mask.shape
+    if qa.shape[0] != q_at.at[0].size or kva.shape[0] != kv_at.at[0].size or q_shape[0] != kv_shape[0]:
+        raise ShapeError(f"rows {qa.shape[0]}/{kva.shape[0]} do not fill masks {q_shape}/{kv_shape}")
     if d % num_heads != 0:
         raise ShapeError(f"width {d} not divisible by {num_heads} heads")
     q, k, v = affine(qa, wq, bq), affine(kva, wk, bk), affine(kva, wv, bv)
-    qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
+    qh, kh, vh = _heads(q, q_at, num_heads), _heads(k, kv_at, num_heads), _heads(v, kv_at, num_heads)
     ctx, probs = attend(qh, kh, vh, bias)
-    out = affine(_rows(ctx, q_mask), wo, bo)
+    out = affine(_rows(ctx, q_at), wo, bo)
 
-    def grads(g, wanted):
+    def grads(g, wanted, qa, kva):
         # the closure keeps the packed q/k/v rows and rebuilds the zero-padded
         # heads and the context here: less memory per step than holding them
-        qh, kh, vh = _heads(q, q_mask, num_heads), _heads(k, kv_mask, num_heads), _heads(v, kv_mask, num_heads)
-        dctx = _heads(g @ wo.T, q_mask, num_heads)
+        qh, kh, vh = _heads(q, q_at, num_heads), _heads(k, kv_at, num_heads), _heads(v, kv_at, num_heads)
+        dctx = _heads(g @ wo.T, q_at, num_heads)
         dprobs = dctx @ vh.swapaxes(-1, -2)
         dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
         dscores *= qh.shape[-1] ** -0.5
         rows = {
-            "o": (_rows(probs @ vh, q_mask), g),
-            "q": (qa, _rows(dscores @ kh, q_mask)),
-            "k": (kva, _rows(dscores.swapaxes(-1, -2) @ qh, kv_mask)),
-            "v": (kva, _rows(probs.swapaxes(-1, -2) @ dctx, kv_mask)),
+            "o": (_rows(probs @ vh, q_at), g),
+            "q": (qa, _rows(dscores @ kh, q_at)),
+            "k": (kva, _rows(dscores.swapaxes(-1, -2) @ qh, kv_at)),
+            "v": (kva, _rows(probs.swapaxes(-1, -2) @ dctx, kv_at)),
         }
         got = {}
         for name, (x, dy) in rows.items():
@@ -720,26 +753,32 @@ def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Te
     ``q_in`` [Nq, d] holds the query-side inputs at the True entries of
     the [B, Tq] ``q_mask`` and ``kv_in`` [Nk, d] the key/value-side
     inputs at those of the [B, Tk] ``kv_mask``, both in row-major order;
-    self-attention passes the same tensor twice. ``weights`` follow
-    ``ATTENTION_WEIGHTS``. The rows are projected, the queries, keys and
-    values scattered into zeros of [B, h, T, d / h] for ``attend``, and
-    the context rows projected by ``wo``. Pad keys are zero vectors, so
-    ``bias`` must mask them. Returns [Nq, d].
+    self-attention passes the same tensor twice. Either mask may be given
+    as its ``row_index``. ``weights`` follow ``ATTENTION_WEIGHTS``. The
+    rows are projected, the queries, keys and values scattered into zeros
+    of [B, h, T, d / h] for ``attend``, and the context rows projected by
+    ``wo``. Pad keys are zero vectors, so ``bias`` must mask them.
+    Returns [Nq, d].
     """
     fused = q_in is kv_in
-    out, grads = _attention_rows(
-        _as_array(q_in), _as_array(kv_in), q_mask, kv_mask, bias, [_as_array(w) for w in weights], num_heads, fused
-    )
+    qa, kva = _as_array(q_in), _as_array(kv_in)
+    out, grads = _attention_rows(qa, kva, q_mask, kv_mask, bias, [_as_array(w) for w in weights], num_heads, fused)
     inputs = [("h", q_in)] if fused else [("h", q_in), ("kv", kv_in)]
-    return _joint_node(out, inputs + list(zip(ATTENTION_WEIGHTS, weights)), grads)
+    return _joint_node(out, inputs + list(zip(ATTENTION_WEIGHTS, weights)), lambda g, wanted: grads(g, wanted, qa, kva))
 
 
 def _sublayer(x, norm, eps: float, rate: float, rng, body):
     """``x + dropout(body(layer_norm(x)))`` over rows [N, d] on plain
     arrays, for the pre-norm sublayer nodes. ``body(h)`` returns its
-    output rows and its backward ``grads(g, wanted)``, which names the
-    gradient of ``h`` "h". Returns the output and the node's backward,
-    which adds "x", "gain" and "bias" for the input and the norm."""
+    output rows and its backward ``grads(g, wanted, h)``, which is handed
+    ``h`` again and names the gradient of ``h`` "h". Returns the output
+    and the node's backward, which adds "x", "gain" and "bias" for the
+    input and the norm.
+
+    The node does not hold ``h``: its backward rebuilds it from the
+    normalized input, which the norm's own gradient keeps anyway, by the
+    two operations that end ``layer_norm_forward``, so it is the same bits.
+    """
     xa, ga, ba = _as_array(x), _as_array(norm[0]), _as_array(norm[1])
     if xa.ndim != 2:
         raise ShapeError(f"a sublayer needs rows [N, d], got {xa.shape}")
@@ -755,8 +794,10 @@ def _sublayer(x, norm, eps: float, rate: float, rng, body):
     y = xa + out
 
     def grads(g, wanted):
+        rebuilt = xhat * ga
+        rebuilt += ba
         needs_h = bool(wanted & {"x", "gain", "bias"})
-        got = body_grads(g if undrop is None else undrop(g), wanted | {"h"} if needs_h else wanted)
+        got = body_grads(g if undrop is None else undrop(g), wanted | {"h"} if needs_h else wanted, rebuilt)
         if needs_h:
             dh = got.pop("h")
             if "x" in wanted:
@@ -781,9 +822,13 @@ def attention_sublayer(x, kv, q_mask, kv_mask, bias, norm, weights, num_heads: i
     dropout and add nodes this replaces, so the gradients are the same bits.
     """
     w = [_as_array(t) for t in weights]
+    # the array, not the Tensor: the backward reads the cross-attention keys
+    # and values, and a closure that held a Tensor would keep its tape alive
+    kva = None if kv is None else _as_array(kv)
 
     def body(h):
-        return _attention_rows(h, h if kv is None else _as_array(kv), q_mask, kv_mask, bias, w, num_heads, kv is None)
+        out, grads = _attention_rows(h, h if kva is None else kva, q_mask, kv_mask, bias, w, num_heads, kva is None)
+        return out, lambda g, wanted, h: grads(g, wanted, h, h if kva is None else kva)
 
     y, grads = _sublayer(x, norm, eps, rate, rng, body)
     inputs = [("x", x)] if kv is None else [("x", x), ("kv", kv)]
@@ -802,7 +847,7 @@ def ffn_sublayer(x, norm, weights, eps: float, rate: float = 0.0, rng: np.random
     def body(h):
         out, r = ffn_forward(h, w1, b1, w2, b2, _relu_array)
 
-        def grads(g, wanted):
+        def grads(g, wanted, h):
             got = {}
             if "w2" in wanted:
                 got["w2"] = r.T @ g

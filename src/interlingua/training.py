@@ -555,7 +555,8 @@ def save_checkpoint(
     with replacing(path) as fh:
         write_header(fh, _CHECKPOINT_LEAD, header)
         for _, arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # the array's own bytes, with no copy when it is already "<f8"
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
 
 def load_checkpoint(

@@ -217,13 +217,12 @@ def _maybe_dropout(x, rate: float, rng):
     return x
 
 
-def _embed(module: LanguageModule, tok: np.ndarray, mask: np.ndarray):
-    """Packed rows [N, d] of the real tokens (the True entries of ``mask``):
-    scaled embeddings plus the position of each, its column."""
-    if not mask.any():
+def _embed(module: LanguageModule, tok: np.ndarray, rows: T.RowIndex):
+    """Packed rows [N, d] of the real tokens (the True entries of the
+    ``rows`` mask): scaled embeddings plus the position of each, its column."""
+    if not rows.at[0].size:
         raise DegenerateBatchError("every position of the batch is padding")
-    cols = np.nonzero(mask)[1]
-    return T.embedding(module.params["emb"], tok[mask], math.sqrt(module.config.d_model), module._pe[cols])
+    return T.embedding(module.params["emb"], tok[rows.at], math.sqrt(module.config.d_model), module._pe[rows.at[1]])
 
 
 def encode(module: LanguageModule, tokens, dropout_rng=None) -> Tensor:
@@ -236,11 +235,12 @@ def encode(module: LanguageModule, tokens, dropout_rng=None) -> Tensor:
     tok = _check_tokens(module, tokens, "source")
     p = module.params
     mask = pad_mask(tok)
+    rows = T.row_index(mask)
     bias = _key_bias(mask)
-    x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
+    x = _maybe_dropout(_embed(module, tok, rows), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"enc.{i}."
-        x = _attention(p, pre + "self.", pre + "ln1.", x, None, mask, mask, bias, cfg, dropout_rng)
+        x = _attention(p, pre + "self.", pre + "ln1.", x, None, rows, rows, bias, cfg, dropout_rng)
         x = _ffn(p, pre + "ffn.", pre + "ln2.", x, cfg, dropout_rng)
     return _ln(p, "enc.final.", x)
 
@@ -281,12 +281,13 @@ def decode_teacher_forced(
         )
     cfg, p = module.config, module.params
     mask = pad_mask(tok)
+    rows, src_rows = T.row_index(mask), T.row_index(src_mask)
     causal, cross_bias = _causal_bias(tok.shape[1]), _key_bias(src_mask)
-    x = _maybe_dropout(_embed(module, tok, mask), cfg.dropout, dropout_rng)
+    x = _maybe_dropout(_embed(module, tok, rows), cfg.dropout, dropout_rng)
     for i in range(cfg.num_blocks):
         pre = f"dec.{i}."
-        x = _attention(p, pre + "self.", pre + "ln1.", x, None, mask, mask, causal, cfg, dropout_rng)
-        x = _attention(p, pre + "cross.", pre + "ln2.", x, la, mask, src_mask, cross_bias, cfg, dropout_rng)
+        x = _attention(p, pre + "self.", pre + "ln1.", x, None, rows, rows, causal, cfg, dropout_rng)
+        x = _attention(p, pre + "cross.", pre + "ln2.", x, la, rows, src_rows, cross_bias, cfg, dropout_rng)
         x = _ffn(p, pre + "ffn.", pre + "ln3.", x, cfg, dropout_rng)
     logits = T.linear(_ln(p, "dec.final.", x), p["out_proj"])
     return logits if packed else T.unpack(logits, mask)
@@ -406,7 +407,8 @@ def greedy_decode(module: LanguageModule, latent, src_mask, max_steps: int) -> l
     batch, heads = src_mask.shape[0], cfg.num_heads
     bound, vectors = _bind_decoder(module, batch)
     # [num_blocks, 2, B, h, S, d / h] like the cache, so dropping rows is one index
-    cross = np.array([[T._heads(kv, src_mask, heads) for kv in T.affine(la.array, *wb)] for wb in bound[2]])
+    src_rows = T.row_index(src_mask)
+    cross = np.array([[T._heads(kv, src_rows, heads) for kv in T.affine(la.array, *wb)] for wb in bound[2]])
     # repeated for each head, like the vectors: the scores add it on the fast path
     cross_bias = np.repeat(_key_bias(src_mask), heads, axis=1)
     cache = np.empty((cfg.num_blocks, 2, batch, heads, max_steps, cfg.d_model // heads))

@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .data import ParallelCorpus
+from .data import ParallelCorpus, replace_text
 from .exceptions import CompatibilityError, ContractError
 from .latent import pool
 from .training import System, _pad_rows
@@ -93,7 +93,7 @@ def save_dump(dump: EmbeddingDump, path):
     lines = [f"# dim={dump.dim} model={dump.model_hash}"]
     for lang, idx, vec in dump.rows:
         lines.append("\t".join([lang, str(idx)] + [repr(float(v)) for v in vec]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_text(path, "\n".join(lines) + "\n")
 
 
 def load_dump(path) -> EmbeddingDump:
@@ -262,5 +262,5 @@ def render_scatter(proj: Projection2D, path, pair_lines: bool = False) -> str:
 
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    replace_text(path, text)
     return text

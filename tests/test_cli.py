@@ -691,6 +691,36 @@ class TestEvalCommands:
                 assert 0.0 <= record[key] <= 100.0
         assert "decoder" in out
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("eval", "bleu-report-test.json"),
+        ("interlingua-eval", "interlingua-report-test.json"),
+        ("eval", EFFECTIVE_CONFIG),
+        ("viz", "embeddings-test.tsv"),
+        ("viz", "viz-test.svg"),
+    ])
+    def test_failed_write_leaves_the_previous_artifact(
+        self, trained_project, tmp_path, capsys, monkeypatch, command, artifact
+    ):
+        # run-directory artifacts are written to a hidden sibling that is
+        # renamed over the target, so a write that fails (here, its rename)
+        # leaves the previous bytes and no partial file
+        config = Path(shutil.copytree(trained_project.parent, tmp_path / "copy")) / trained_project.name
+        target = out_dir(config) / artifact
+        target.write_bytes(b"previous\n")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == artifact:
+                raise OSError(f"no space left writing {artifact}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(D.os, "replace", replace)
+        code, _, err = run(capsys, command, "--config", str(config), "--split", "test")
+        assert code == 1
+        assert err == f"error: io: no space left writing {artifact}\n"
+        assert target.read_bytes() == b"previous\n"
+        assert not list(out_dir(config).glob(".*.partial"))
+
     def test_eval_without_checkpoint_fails_cleanly(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
         code, _, err = run(capsys, "eval", "--config", str(project))

@@ -201,12 +201,13 @@ class TestInterlinguaEval:
         assert batch.x.shape[1] != batch.y.shape[1]
         by_lang = {"x": batch.x, "y": batch.y}
         scored = []
+        real_stats = E.scoring_stats
 
-        def recording_bleu(hyps, refs):
-            scored.append(list(hyps))
-            return bleu(hyps, refs)
+        def recording_stats(lines):
+            scored.append(list(lines))
+            return real_stats(lines)
 
-        monkeypatch.setattr(E, "bleu", recording_bleu)
+        monkeypatch.setattr(E, "scoring_stats", recording_stats)
         reports = interlingua_eval(system, corpus, vocabs)
         assert len(reports) == 2
         for i, (report, (dec, enc)) in enumerate(zip(reports, (("x", "y"), ("y", "x")))):
@@ -240,6 +241,19 @@ class TestInterlinguaEval:
         assert encoded == list(corpus.languages)
         assert decoded == [(lang, 2 * len(corpus)) for lang in corpus.languages]
         assert [r.decoder_lang for r in reports] == list(corpus.languages)
+
+    def test_each_line_is_converted_once(self, toy_corpus, monkeypatch):
+        # each decoder's autoencoded, translated and reference lists are
+        # scored twice each, from one conversion per line; scoring pair by
+        # pair converted every line twice
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        converted = []
+        real = E.scoring_words
+        monkeypatch.setattr(E, "scoring_words", lambda tokens: converted.append(1) or real(tokens))
+        interlingua_eval(system, corpus, vocabs)
+        # two decoders, three lists of one line per pair each
+        assert len(converted) == 2 * 3 * len(corpus)
 
     def test_reports_all_three_scores(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, tape mechanics, gradients vs central differences."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -243,6 +244,25 @@ class TestTapeMechanics:
         x = tape.watch(T.Tensor([3.0, -2.0]))
         grads = T.backward(T.reduce_sum(x * x))
         np.testing.assert_array_equal(grads[x], [6.0, -4.0])
+
+    @pytest.mark.parametrize("reduce", [
+        T.reduce_sum, T.reduce_mean, T.reduce_max,
+        lambda a: T.cross_entropy(a, np.array([[1, 0, 2]])),
+        lambda a: T.cross_entropy(a, np.array([[1, 0, 2]]), rows=slice(0, 1)),
+    ], ids=["sum", "mean", "max", "cross_entropy", "cross_entropy_rows"])
+    def test_reductions_keep_only_their_input_shape(self, reduce):
+        # the input of a reduction (or the logits of cross_entropy) is freed
+        # with its Tensor: the backward reads its shape only
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor(np.random.default_rng(7).normal(size=(1, 3, 4))))
+        mid = T.mul(x, 2.0)
+        freed = weakref.ref(mid.array)
+        loss = reduce(mid)
+        del mid
+        assert freed() is None
+        grads = T.backward(T.reduce_sum(loss))
+        assert grads[x].shape == (1, 3, 4)
+        tape.release()
 
     def test_backward_is_bit_deterministic(self):
         rng = np.random.default_rng(5)
@@ -808,6 +828,38 @@ class TestSublayerNodes:
         assert len(results[0]) == len(results[1])
         for got, want in zip(*results):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["self", "cross", "ffn"])
+    def test_nodes_keep_no_layer_norm_output(self, kind, monkeypatch):
+        # the backward rebuilds the layer norm's output from the normalized
+        # input, so the forward's copy is freed once the node is recorded
+        rng = np.random.default_rng(6)
+        mask = np.array([[1, 1, 1], [1, 1, 0]], bool)
+        x = rng.normal(size=(5, 4))
+        kv = rng.normal(size=(5, 4)) if kind == "cross" else None
+        norm = [np.ones(4), np.zeros(4)]
+        if kind == "ffn":
+            weights = [rng.normal(size=(4, 8)), np.zeros(8), rng.normal(size=(8, 4)), np.zeros(4)]
+        else:
+            weights = attention_case(rng, mask, mask)[2]
+        outputs = []
+        real = T.layer_norm_forward
+
+        def spy(*args):
+            result = real(*args)
+            outputs.append(weakref.ref(result[0]))
+            return result
+
+        monkeypatch.setattr(T, "layer_norm_forward", spy)
+        tape = T.GradTape()
+        tx = tape.watch(T.Tensor(x))
+        tkv = None if kv is None else tape.watch(T.Tensor(kv))
+        tw = [tape.watch(T.Tensor(w)) for w in norm + weights]
+        out = fused_sublayer(kind, tx, tkv, mask, mask, key_bias(mask), tw[:2], tw[2:], 0.0, None)
+        assert len(outputs) == 1 and outputs[0]() is None
+        grads = T.backward(T.reduce_sum(out))
+        assert np.isfinite(grads.flat).all()
+        tape.release()
 
     def test_one_node_per_sublayer(self):
         rng = np.random.default_rng(4)

@@ -8,6 +8,7 @@ exactly the same bytes as the uninterrupted run.
 import copy
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -422,6 +423,66 @@ class TestPackedObjective:
             assert tapes[0]() is None, "the step's tape outlived train_step"
         finally:
             gc.enable()
+
+
+    def test_one_row_index_per_mask_of_a_pass(self, toy_corpus, monkeypatch):
+        # each encode derives its mask's scatter indices once, and each
+        # decoder pass those of its target and source masks; every sublayer
+        # and every backward of the pass reuses them
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = TOY
+        cfg = fast_train_config(**train_kw)
+        system = build_system(model, {lang: len(v) for lang, v in vocabs.items()}, seed=0)
+        derived = []
+        real = T.row_index
+        monkeypatch.setattr(T, "row_index", lambda mask: derived.append(1) or real(mask))
+        tape = T.GradTape()
+        try:
+            for t in system.named_parameters().values():
+                tape.watch(t)
+            loss, _ = joint_loss(sample_batch(corpus, cfg.batch_size, cfg.seed, 0), system, cfg)
+            T.backward(loss)
+        finally:
+            tape.release()
+        # two encodes, then two decoder passes of two masks each
+        assert len(derived) == 2 + 2 * 2 == 6
+
+    # bytes allocated between the start of joint_loss and the start of
+    # backward in a steady wide step (the toy corpus's 16 pairs, DVQ, max
+    # distance): 40,359,151 when each pre-norm sublayer node held its layer
+    # norm's output, 33,179,178 since its backward rebuilds that output
+    ACTIVATION_BUDGET = 36_000_000
+
+    def test_activations_held_for_backward(self, toy_corpus, monkeypatch):
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = WIDE
+        cfg = fast_train_config(**train_kw)
+        system = build_system(
+            model, {lang: len(v) for lang, v in vocabs.items()}, seed=0, quantize_latent=cfg.quantize
+        )
+        state = TrainState()
+        # the first step allocates Adam's buffers, which a steady step reuses
+        train_step(state, system, sample_batch(corpus, cfg.batch_size, cfg.seed, 0), cfg)
+        held = []
+        real_loss, real_backward = TR.joint_loss, TR.backward
+
+        def joint_loss_spy(*args):
+            held.append(-tracemalloc.get_traced_memory()[0])
+            return real_loss(*args)
+
+        def backward_spy(loss, out=None):
+            held[-1] += tracemalloc.get_traced_memory()[0]
+            return real_backward(loss, out)
+
+        monkeypatch.setattr(TR, "joint_loss", joint_loss_spy)
+        monkeypatch.setattr(TR, "backward", backward_spy)
+        tracemalloc.start()
+        try:
+            train_step(state, system, sample_batch(corpus, cfg.batch_size, cfg.seed, 1), cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1
+        assert held[0] <= self.ACTIVATION_BUDGET, f"{held[0]} bytes held for backward"
 
 
 class TestTrainStep:
