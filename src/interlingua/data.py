@@ -420,6 +420,7 @@ def read_corpus(path) -> ParallelCorpus:
         if header.get("version") != CORPUS_VERSION:
             raise CheckpointError(f"unsupported corpus version in {path}")
         languages = tuple(header_field(header, "languages", list, path, str))
+        count = header_field(header, "count", int, path)
         all_lengths = header_field(header, "lengths", dict, path)
         provenance = header_field(header, "provenance", dict, path)
         sequences: dict[str, list[np.ndarray]] = {}
@@ -428,6 +429,9 @@ def read_corpus(path) -> ParallelCorpus:
             # per row, or np.split, costs several times more on corpora of
             # thousands of pairs
             lengths = header_field(all_lengths, lang, list, path, int)
+            # every row ends with eos, so none is empty
+            if len(lengths) != count or min(lengths, default=1) < 1:
+                raise CheckpointError(f"damaged header in {path}: side {lang!r} does not hold {count} nonempty rows")
             side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
             ends = list(itertools.accumulate(lengths, initial=0))
             sequences[lang] = [side[lo:hi] for lo, hi in zip(ends, ends[1:])]

@@ -30,15 +30,18 @@ class GradTape:
 
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
-        self._grad_fns: list[tuple] = []
+        self._backwards: list = []
         self._watched: list[Tensor] = []
 
     def __len__(self):
         return len(self._parents)
 
-    def _record(self, parents, grad_fns):
+    def _record(self, parents, backward):
+        """Append a node; ``backward(g)`` yields the gradient of each of
+        ``parents`` in order, given the node's gradient ``g`` (None for a
+        leaf)."""
         self._parents.append(tuple(parents))
-        self._grad_fns.append(tuple(grad_fns))
+        self._backwards.append(backward)
         return len(self._parents) - 1
 
     def watch(self, t: "Tensor") -> "Tensor":
@@ -47,7 +50,7 @@ class GradTape:
             return t
         if t.tape is not None:
             raise TapeError("tensor is already attached to another tape")
-        t.node = self._record((), ())
+        t.node = self._record((), None)
         t.tape = self
         self._watched.append(t)
         return t
@@ -208,17 +211,14 @@ def _tape_of(operands) -> GradTape | None:
 
 
 def _make(arr, *parent_specs) -> Tensor:
-    """Build the op result, recording grad closures for attached parents."""
+    """Build the op result from (parent, grad closure) pairs; the node's
+    backward calls the attached parents' closures in order, one at a time.
+    It holds the closures, never the specs, so no parent Tensor is kept."""
     tape = _tape_of([p for p, _ in parent_specs])
     if tape is None:
         return Tensor(arr)
-    parents = []
-    fns = []
-    for p, fn in parent_specs:
-        if isinstance(p, Tensor) and p.tape is not None:
-            parents.append(p.node)
-            fns.append(fn)
-    node = tape._record(parents, fns)
+    nodes, fns = zip(*[(p.node, fn) for p, fn in parent_specs if isinstance(p, Tensor) and p.tape is not None])
+    node = tape._record(nodes, lambda g: (fn(g) for fn in fns))
     return Tensor(arr, tape, node)
 
 
@@ -610,10 +610,6 @@ def row_index(mask) -> RowIndex:
     return RowIndex(mask, np.nonzero(mask))
 
 
-def _row_index(mask) -> RowIndex:
-    return mask if isinstance(mask, RowIndex) else row_index(mask)
-
-
 def _heads(rows: np.ndarray, index: RowIndex, num_heads: int) -> np.ndarray:
     """Packed rows [N, d] of ``index``'s True entries as zero-padded heads [B, h, T, d / h]."""
     (b, t), d = index.mask.shape, rows.shape[-1]
@@ -666,37 +662,32 @@ FFN_WEIGHTS = ("w1", "b1", "w2", "b2")
 
 
 def _joint_node(out, parents, all_grads) -> Tensor:
-    """``_make`` for a node whose backward computes every input's gradient
-    in one pass: ``parents`` are (name, value) pairs, and
-    ``all_grads(g, wanted)`` returns the gradient of each wanted name, the
-    names of the parents on a tape. It runs on the first parent's call;
-    each gradient is then handed out exactly once and none is kept. The
-    closures hold arrays only, never a Tensor, so a tape is freed as soon
-    as its last Tensor goes.
+    """The op result ``out`` as one node whose backward computes every
+    input's gradient in one pass: ``parents`` are (name, value) pairs, and
+    ``all_grads(g, wanted)`` returns a dict of the gradient of each wanted
+    name, the names of the parents on a tape. The backward hands them out
+    in the parents' order, each once. The closures hold arrays only, never
+    a Tensor, so a tape is freed as soon as its last Tensor goes.
     """
-    wanted = {name for name, p in parents if isinstance(p, Tensor) and p.tape is not None}
-    pending: dict = {}
-
-    def grad_of(name):
-        def fn(g):
-            if not pending:
-                pending.update(all_grads(g, wanted))
-            return pending.pop(name)
-
-        return fn
-
-    return _make(out, *[(p, grad_of(name)) for name, p in parents])
+    tape = _tape_of([p for _, p in parents])
+    if tape is None:
+        return Tensor(out)
+    names, nodes = zip(*[(name, p.node) for name, p in parents if isinstance(p, Tensor) and p.tape is not None])
+    wanted = set(names)
+    node = tape._record(nodes, lambda g: map(all_grads(g, wanted).pop, names))
+    return Tensor(out, tape, node)
 
 
-def _attention_rows(qa, kva, q_mask, kv_mask, bias, weights, num_heads: int, fused: bool):
+def _attention_rows(qa, kva, q_at: RowIndex, kv_at: RowIndex, bias, weights, num_heads: int, fused: bool):
     """One multi-head attention over packed rows on plain arrays: the
     output rows and ``grads(g, wanted, qa, kva)``, the backward for
     ``_joint_node`` under the names of ``ATTENTION_WEIGHTS`` plus "h" (the
     query rows; with ``fused``, the rows that are also keys and values)
     and "kv". The backward is handed the query and key/value rows again
     rather than holding them, so a caller that can rebuild them need not
-    keep them. The masks are [B, T] masks or their ``row_index``."""
-    q_at, kv_at = _row_index(q_mask), _row_index(kv_mask)
+    keep them. The rows' masks come as their ``row_index``."""
+    if not isinstance(q_at, RowIndex) or not isinstance(kv_at, RowIndex):
+        raise ContractError("attention takes each mask as its row_index")
     if len(weights) != 8:
         raise ShapeError(f"attention needs 8 weights, got {len(weights)}")
     wq, bq, wk, bk, wv, bv, wo, bo = weights
@@ -753,8 +744,8 @@ def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Te
     ``q_in`` [Nq, d] holds the query-side inputs at the True entries of
     the [B, Tq] ``q_mask`` and ``kv_in`` [Nk, d] the key/value-side
     inputs at those of the [B, Tk] ``kv_mask``, both in row-major order;
-    self-attention passes the same tensor twice. Either mask may be given
-    as its ``row_index``. ``weights`` follow ``ATTENTION_WEIGHTS``. The
+    self-attention passes the same tensor twice. Each mask comes as its
+    ``row_index``. ``weights`` follow ``ATTENTION_WEIGHTS``. The
     rows are projected, the queries, keys and values scattered into zeros
     of [B, h, T, d / h] for ``attend``, and the context rows projected by
     ``wo``. Pad keys are zero vectors, so ``bias`` must mask them.
@@ -763,17 +754,18 @@ def attention(q_in, kv_in, q_mask, kv_mask, bias, weights, num_heads: int) -> Te
     fused = q_in is kv_in
     qa, kva = _as_array(q_in), _as_array(kv_in)
     out, grads = _attention_rows(qa, kva, q_mask, kv_mask, bias, [_as_array(w) for w in weights], num_heads, fused)
-    inputs = [("h", q_in)] if fused else [("h", q_in), ("kv", kv_in)]
-    return _joint_node(out, inputs + list(zip(ATTENTION_WEIGHTS, weights)), lambda g, wanted: grads(g, wanted, qa, kva))
+    parents = [("h", q_in), ("kv", None if fused else kv_in), *zip(ATTENTION_WEIGHTS, weights)]
+    return _joint_node(out, parents, lambda g, wanted: grads(g, wanted, qa, kva))
 
 
-def _sublayer(x, norm, eps: float, rate: float, rng, body):
-    """``x + dropout(body(layer_norm(x)))`` over rows [N, d] on plain
-    arrays, for the pre-norm sublayer nodes. ``body(h)`` returns its
-    output rows and its backward ``grads(g, wanted, h)``, which is handed
-    ``h`` again and names the gradient of ``h`` "h". Returns the output
-    and the node's backward, which adds "x", "gain" and "bias" for the
-    input and the norm.
+def _sublayer(x, kv, norm, named_weights, eps: float, rate: float, rng, body) -> Tensor:
+    """``x + dropout(body(layer_norm(x)))`` over rows [N, d], as one node
+    whose parents are ``x``, ``kv`` (None for none), the norm's gain and
+    bias, and the (name, weight) pairs ``named_weights``. ``body(h)``
+    returns its output rows and its backward ``grads(g, wanted, h)``,
+    which is handed ``h`` again, names the gradient of ``h`` "h" and
+    computes those of "kv" and the weights; the node's backward adds "x",
+    "gain" and "bias".
 
     The node does not hold ``h``: its backward rebuilds it from the
     normalized input, which the norm's own gradient keeps anyway, by the
@@ -808,7 +800,8 @@ def _sublayer(x, norm, eps: float, rate: float, rng, body):
                 got["bias"] = np.sum(dh, axis=(0,))
         return got
 
-    return y, grads
+    parents = [("x", x), ("kv", kv), ("gain", norm[0]), ("bias", norm[1]), *named_weights]
+    return _joint_node(y, parents, grads)
 
 
 def attention_sublayer(x, kv, q_mask, kv_mask, bias, norm, weights, num_heads: int, eps: float,
@@ -830,10 +823,7 @@ def attention_sublayer(x, kv, q_mask, kv_mask, bias, norm, weights, num_heads: i
         out, grads = _attention_rows(h, h if kva is None else kva, q_mask, kv_mask, bias, w, num_heads, kva is None)
         return out, lambda g, wanted, h: grads(g, wanted, h, h if kva is None else kva)
 
-    y, grads = _sublayer(x, norm, eps, rate, rng, body)
-    inputs = [("x", x)] if kv is None else [("x", x), ("kv", kv)]
-    parents = inputs + [("gain", norm[0]), ("bias", norm[1])] + list(zip(ATTENTION_WEIGHTS, weights))
-    return _joint_node(y, parents, grads)
+    return _sublayer(x, kv, norm, zip(ATTENTION_WEIGHTS, weights), eps, rate, rng, body)
 
 
 def ffn_sublayer(x, norm, weights, eps: float, rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
@@ -865,9 +855,7 @@ def ffn_sublayer(x, norm, weights, eps: float, rate: float = 0.0, rng: np.random
 
         return out, grads
 
-    y, grads = _sublayer(x, norm, eps, rate, rng, body)
-    parents = [("x", x), ("gain", norm[0]), ("bias", norm[1])] + list(zip(FFN_WEIGHTS, weights))
-    return _joint_node(y, parents, grads)
+    return _sublayer(x, None, norm, zip(FFN_WEIGHTS, weights), eps, rate, rng, body)
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
@@ -911,9 +899,9 @@ def backward(loss: Tensor, out: np.ndarray | None = None) -> Gradients:
     A recorded node's gradient is dropped as soon as it has been passed on
     to its parents, so the sweep holds only the gradients still in flight
     plus those of the leaves. A recorded node's contributions are stored
-    as the grad closures return them and summed out of place, so a
+    as its backward yields them and summed out of place, so a
     contribution that aliases another slot (``add`` passes ``g`` itself to
-    both operands) is never written through; no closure may modify its
+    both operands) is never written through; no backward may modify its
     ``g`` in place. The leaves' gradients are written into one flat
     buffer, a leaf's first contribution copied into its range and later
     ones added in place, which keeps the arrays handed out by
@@ -944,8 +932,7 @@ def backward(loss: Tensor, out: np.ndarray | None = None) -> Gradients:
         if g is None or not parents[idx]:
             continue
         values[idx] = None
-        for pidx, fn in zip(parents[idx], tape._grad_fns[idx]):
-            contrib = fn(g)
+        for pidx, contrib in zip(parents[idx], tape._backwards[idx](g)):
             if not parents[pidx]:
                 if values[pidx] is None:
                     values[pidx] = slots[pidx]

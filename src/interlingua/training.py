@@ -265,25 +265,18 @@ def joint_loss(
         Tensor(pooled_x.array), Tensor(pooled_y.array)
     )
 
-    w = cfg.loss_weights
-    total = _weighted(l_xx, w[0])
-    total = T.add(total, _weighted(l_yy, w[1]))
-    total = T.add(total, _weighted(l_xy, w[2]))
-    total = T.add(total, _weighted(l_yx, w[3]))
-    total = T.add(total, _weighted(dist, w[4]))
+    terms = {"l_xx": l_xx, "l_yy": l_yy, "l_xy": l_xy, "l_yx": l_yx, "distance": dist}
+    weights = list(cfg.loss_weights)
+    components = {name: term.item() for name, term in terms.items()}
+    components["corr_distance"] = float(corr.array)
     if vq is not None:
-        total = T.add(total, vq)
-
-    components = {
-        "l_xx": l_xx.item(),
-        "l_yy": l_yy.item(),
-        "l_xy": l_xy.item(),
-        "l_yx": l_yx.item(),
-        "distance": dist.item(),
-        "corr_distance": float(corr.array),
-    }
-    if vq is not None:
+        terms["vq"] = vq
+        weights.append(1.0)
         components["vq"] = vq.item()
+    total = None
+    for term, weight in zip(terms.values(), weights):
+        term = _weighted(term, weight)
+        total = term if total is None else T.add(total, term)
     return total, components
 
 

@@ -11,13 +11,13 @@ the plot for anything else.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .data import ParallelCorpus, replace_text
+from .data import ParallelCorpus, read_text, replace_text
 from .exceptions import CompatibilityError, ContractError
 from .latent import pool
 from .training import System, _pad_rows
@@ -97,19 +97,18 @@ def save_dump(dump: EmbeddingDump, path):
 
 
 def load_dump(path) -> EmbeddingDump:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("# dim="):
-        raise ContractError(f"{path} is not an embedding dump")
-    head = text[0][2:].split()
-    dim = int(head[0].split("=", 1)[1])
-    model_hash = head[1].split("=", 1)[1]
-    rows = []
-    for line in text[1:]:
-        if not line:
-            continue
-        parts = line.split("\t")
-        rows.append((parts[0], int(parts[1]), np.array([float(p) for p in parts[2:]])))
-    return EmbeddingDump(dim=dim, model_hash=model_hash, rows=rows)
+    """Read what ``save_dump`` wrote; a malformed header or row is one
+    ContractError that names the file."""
+    lines = read_text(path).splitlines()
+    head = re.fullmatch(r"# dim=(\d+) model=(.*)", lines[0]) if lines else None
+    if head is None:
+        raise ContractError(f"{path} is not an embedding dump: no '# dim=<int> model=<hash>' header")
+    try:
+        fields = [line.split("\t") for line in lines[1:] if line]
+        rows = [(f[0], int(f[1]), np.array([float(v) for v in f[2:]])) for f in fields]
+        return EmbeddingDump(dim=int(head[1]), model_hash=head[2], rows=rows)
+    except (IndexError, ValueError, ContractError) as err:
+        raise ContractError(f"{path} holds a malformed dump row: {err}") from None
 
 
 def _principal_axes(dump: EmbeddingDump):

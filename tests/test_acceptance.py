@@ -208,11 +208,11 @@ def _op_cases(seed):
     def attention_case(q_mask, kv_mask, bias):
         q = rng.normal(size=(int(q_mask.sum()), 4))
         weights = [rng.normal(size=(4, 4) if i % 2 == 0 else (4,)) for i in range(8)]
-        wgt = rng.normal(size=q.shape)
+        wgt, q_at = rng.normal(size=q.shape), T.row_index(q_mask)
         if kv_mask is None:
-            return [q] + weights, lambda tq, *tw: s(T.attention(tq, tq, q_mask, q_mask, bias, tw, 2), wgt)
-        kv = rng.normal(size=(int(kv_mask.sum()), 4))
-        return [q, kv] + weights, lambda tq, tkv, *tw: s(T.attention(tq, tkv, q_mask, kv_mask, bias, tw, 2), wgt)
+            return [q] + weights, lambda tq, *tw: s(T.attention(tq, tq, q_at, q_at, bias, tw, 2), wgt)
+        kv, kv_at = rng.normal(size=(int(kv_mask.sum()), 4)), T.row_index(kv_mask)
+        return [q, kv] + weights, lambda tq, tkv, *tw: s(T.attention(tq, tkv, q_at, kv_at, bias, tw, 2), wgt)
 
     attention_cases = [("attention", *attention_case(*spec)) for spec in att.values()]
 
@@ -225,9 +225,9 @@ def _op_cases(seed):
         norm = [rng.normal(size=(4,)) + 1.0, rng.normal(size=(4,))]
         weights = [rng.normal(size=(4, 4) if i % 2 == 0 else (4,)) for i in range(8)]
         wgt, rng_of = rng.normal(size=x.shape), drop(rate)
+        masks = (T.row_index(q_mask), T.row_index(q_mask if kv_mask is None else kv_mask))
 
         def build(tx, tkv, tg, tb, *tw):
-            masks = (q_mask, q_mask if kv_mask is None else kv_mask)
             return s(T.attention_sublayer(tx, tkv, *masks, bias, (tg, tb), tw, 2, 1e-6, rate, rng_of()), wgt)
 
         if kv_mask is None:

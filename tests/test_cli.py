@@ -832,6 +832,32 @@ class TestLoaderFailures:
                 one_error_line(err, "checkpoint")
             target.write_bytes(original)
 
+    @pytest.mark.parametrize("damage", ["last side one row short", "empty first row"])
+    def test_corpus_rows_that_do_not_fit_the_count(self, prepared_project, tmp_path, capsys, damage):
+        # header and payload stay consistent with each other, so only the
+        # row checks can catch the damage
+        run_dir = tmp_path / "run"
+        shutil.copytree(out_dir(prepared_project), run_dir)
+        target = run_dir / "corpus-train.bin"
+        original = target.read_bytes()
+        size = int.from_bytes(original[4:12], "little")
+        header = json.loads(original[12 : 12 + size])
+        payload = original[12 + size :]
+        languages, lengths = header["languages"], header["lengths"]
+        if damage == "last side one row short":
+            payload = payload[: len(payload) - 4 * lengths[languages[-1]].pop()]
+        else:
+            payload = payload[4 * lengths[languages[0]][0] :]
+            lengths[languages[0]][0] = 0
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        target.write_bytes(original[:4] + len(blob).to_bytes(8, "little") + blob + payload)
+        code, _, err = run(
+            capsys, "train", "--config", str(prepared_project), "--set", f"output.dir={run_dir}", "--steps", "1"
+        )
+        assert code == 1
+        one_error_line(err, "checkpoint")
+        assert "corpus-train.bin" in err and "Traceback" not in err
+
     def test_trailing_bytes_rejected(self, trained_project, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(out_dir(trained_project), run_dir)

@@ -347,7 +347,7 @@ class TestGradientsContract:
         np.testing.assert_array_equal(grads[x], [33.0, 51.0])
 
     def test_grad_closures_leave_g_untouched(self):
-        # a read-only g makes any in-place write inside a closure raise
+        # a read-only g makes any in-place write inside a node's backward raise
         rng = np.random.default_rng(4)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
         pos = rng.uniform(0.5, 2.0, size=(3, 4))
@@ -357,6 +357,7 @@ class TestGradientsContract:
         mask_q, mask_kv = np.array([[1, 1, 0], [1, 0, 0]], bool), np.array([[1, 1], [1, 0]], bool)
         att_x, att_kv, att_w = attention_case(rng, mask_q, mask_kv)
         att_q = (att_x, att_kv)
+        mask_q, mask_kv = T.row_index(mask_q), T.row_index(mask_kv)
         ops = [
             (lambda x, y: T.add(x, y), [a, b]),
             (lambda x, y: T.sub(x, y), [a, b]),
@@ -393,8 +394,8 @@ class TestGradientsContract:
             g = rng.normal(size=out.shape)
             g.flags.writeable = False
             kept = g.copy()
-            for fn in tape._grad_fns[out.node]:
-                fn(g)
+            for _ in tape._backwards[out.node](g):
+                pass
             np.testing.assert_array_equal(g, kept)
             tape.release()
 
@@ -688,8 +689,10 @@ def attention_build(case, num_heads=2):
     kv_mask = q_mask if fused else kv_mask
     bias = {"key": key_bias(kv_mask), "causal": causal_bias(q_mask.shape[1]), None: None}[kind]
 
+    q_at, kv_at = T.row_index(q_mask), T.row_index(kv_mask)
+
     def build(q, kv, *weights):
-        return T.attention(q, q if fused else kv, q_mask, kv_mask, bias, weights, num_heads)
+        return T.attention(q, q if fused else kv, q_at, kv_at, bias, weights, num_heads)
 
     return build, q_mask, kv_mask, bias, fused
 
@@ -757,12 +760,15 @@ class TestAttentionNode:
         rng = np.random.default_rng(9)
         mask = np.array([[1, 1], [1, 0]], bool)
         q, kv, weights = attention_case(rng, mask, mask)
+        at = T.row_index(mask)
         with pytest.raises(ShapeError):
-            T.attention(q[:2], kv, mask, mask, None, weights, 2)
+            T.attention(q[:2], kv, at, at, None, weights, 2)
         with pytest.raises(ShapeError):
-            T.attention(q, kv, mask, mask, None, weights[:7], 2)
+            T.attention(q, kv, at, at, None, weights[:7], 2)
         with pytest.raises(ShapeError):
-            T.attention(q, kv, mask, mask, None, weights, 3)
+            T.attention(q, kv, at, at, None, weights, 3)
+        with pytest.raises(ContractError):
+            T.attention(q, kv, mask, at, None, weights, 2)
 
 
 def composed_sublayer(kind, x, kv, q_mask, kv_mask, bias, norm, weights, rate, rng):
@@ -773,14 +779,15 @@ def composed_sublayer(kind, x, kv, q_mask, kv_mask, bias, norm, weights, rate, r
         w1, b1, w2, b2 = weights
         out = T.linear(T.relu(T.linear(h, w1, b1)), w2, b2)
     else:
-        out = T.attention(h, h if kv is None else kv, q_mask, kv_mask, bias, weights, 2)
+        out = T.attention(h, h if kv is None else kv, T.row_index(q_mask), T.row_index(kv_mask), bias, weights, 2)
     return T.add(x, T.dropout(out, rate, rng) if rng is not None else out)
 
 
 def fused_sublayer(kind, x, kv, q_mask, kv_mask, bias, norm, weights, rate, rng):
     if kind == "ffn":
         return T.ffn_sublayer(x, norm, weights, 1e-6, rate, rng)
-    return T.attention_sublayer(x, kv, q_mask, kv_mask, bias, norm, weights, 2, 1e-6, rate, rng)
+    masks = T.row_index(q_mask), T.row_index(kv_mask)
+    return T.attention_sublayer(x, kv, *masks, bias, norm, weights, 2, 1e-6, rate, rng)
 
 
 class TestSublayerNodes:
@@ -861,14 +868,47 @@ class TestSublayerNodes:
         assert np.isfinite(grads.flat).all()
         tape.release()
 
+    @pytest.mark.parametrize("kind", ["self", "cross", "ffn"])
+    def test_backward_is_a_pure_function_of_g(self, kind):
+        # the node keeps nothing between calls of its backward: each call
+        # yields the gradients of its own g, whatever was asked before
+        rng = np.random.default_rng(12)
+        mask = np.array([[1, 1, 1], [1, 1, 0]], bool)
+        x = rng.normal(size=(5, 4))
+        kv = rng.normal(size=(5, 4)) if kind == "cross" else None
+        norm = [rng.normal(size=4) + 1.0, rng.normal(size=4)]
+        if kind == "ffn":
+            weights = [rng.normal(size=(4, 8)), rng.normal(size=8), rng.normal(size=(8, 4)), rng.normal(size=4)]
+        else:
+            weights = attention_case(rng, mask, mask)[2]
+        tape = T.GradTape()
+        tx, tkv = tape.watch(T.Tensor(x)), None if kv is None else tape.watch(T.Tensor(kv))
+        tn = [tape.watch(T.Tensor(a)) for a in norm]
+        tw = [tape.watch(T.Tensor(a)) for a in weights]
+        leaves = [t for t in [tx, tkv] + tn + tw if t is not None]
+        out = fused_sublayer(kind, tx, tkv, mask, mask, key_bias(mask), tn, tw, 0.0, None)
+        backward = tape._backwards[out.node]
+        g1, g2 = rng.normal(size=out.shape), rng.normal(size=out.shape)
+        first, second, again = list(backward(g1)), list(backward(g2)), list(backward(g1))
+        assert len(first) == len(leaves)
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+        # a sweep from sum(out * g) hands the node exactly g
+        for g, yielded in ((g1, first), (g2, second)):
+            grads = T.backward(T.reduce_sum(T.mul(out, g)))
+            for leaf, want in zip(leaves, yielded):
+                assert np.array_equal(grads[leaf], want)
+        tape.release()
+
     def test_one_node_per_sublayer(self):
         rng = np.random.default_rng(4)
         mask = np.ones((2, 3), bool)
+        at = T.row_index(mask)
         x = rng.normal(size=(6, 4))
         tape = T.GradTape()
         tx = tape.watch(T.Tensor(x))
         norm = [np.ones(4), np.zeros(4)]
-        y = T.attention_sublayer(tx, None, mask, mask, None, norm, attention_case(rng, mask, mask)[2], 2, 1e-6)
+        y = T.attention_sublayer(tx, None, at, at, None, norm, attention_case(rng, mask, mask)[2], 2, 1e-6)
         ffn = [rng.normal(size=(4, 8)), np.zeros(8), rng.normal(size=(8, 4)), np.zeros(4)]
         T.ffn_sublayer(y, norm, ffn, 1e-6)
         assert len(tape) == 3
@@ -877,16 +917,17 @@ class TestSublayerNodes:
     def test_shape_and_rate_checks(self):
         rng = np.random.default_rng(5)
         mask = np.ones((2, 3), bool)
+        at = T.row_index(mask)
         x = rng.normal(size=(6, 4))
         weights = attention_case(rng, mask, mask)[2]
         ffn = [rng.normal(size=(4, 8)), np.zeros(8), rng.normal(size=(8, 4)), np.zeros(4)]
         norm = [np.ones(4), np.zeros(4)]
         with pytest.raises(ShapeError):
-            T.attention_sublayer(x.reshape(2, 3, 4), None, mask, mask, None, norm, weights, 2, 1e-6)
+            T.attention_sublayer(x.reshape(2, 3, 4), None, at, at, None, norm, weights, 2, 1e-6)
         with pytest.raises(ShapeError):
             T.ffn_sublayer(x, [np.ones(3), np.zeros(4)], ffn, 1e-6)
         with pytest.raises(ShapeError):
-            T.attention_sublayer(x[:5], None, mask, mask, None, norm, weights, 2, 1e-6)
+            T.attention_sublayer(x[:5], None, at, at, None, norm, weights, 2, 1e-6)
         with pytest.raises(ContractError):
             T.ffn_sublayer(x, norm, ffn, 1e-6, 1.0, rng)
 

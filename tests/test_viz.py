@@ -1,5 +1,6 @@
 """Tests for embedding export, the 2D projection, and the SVG renderer."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import small_system
 from interlingua import data as D
-from interlingua.exceptions import CompatibilityError, ContractError
+from interlingua.exceptions import CompatibilityError, ContractError, InterlinguaError
 from interlingua.latent import pool
 from interlingua.training import _pad_rows, build_system
 from interlingua.transformer import encode, pad_mask
@@ -111,6 +112,20 @@ class TestDumpFile:
         path = tmp_path / "junk.tsv"
         path.write_text("hello\n", encoding="utf-8")
         with pytest.raises(ContractError):
+            load_dump(path)
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"# dim=3 model=h\nx\t0\t1.0\t2.0\t3.0\n\xff\n", id="not-utf8"),
+        pytest.param(b"# dim=two model=h\nx\t0\t1.0\t2.0\t3.0\n", id="dim-not-int"),
+        pytest.param(b"# dim=3 model=h\nx\tfirst\t1.0\t2.0\t3.0\n", id="index-not-int"),
+        pytest.param(b"# dim=3 model=h\nx\t0\t1.0\tone\t3.0\n", id="value-not-float"),
+        pytest.param(b"# dim=3\nx\t0\t1.0\t2.0\t3.0\n", id="no-model"),
+        pytest.param(b"# dim=3 model=h\nx\t0\t1.0\t2.0\n", id="row-too-short"),
+    ])
+    def test_damaged_dump_is_one_error_naming_the_file(self, tmp_path, content):
+        path = tmp_path / "vectors.tsv"
+        path.write_bytes(content)
+        with pytest.raises(InterlinguaError, match=re.escape(str(path))):
             load_dump(path)
 
 
