@@ -558,8 +558,12 @@ def cmd_translate(args) -> int:
 
     lines = D.read_text(require_file(Path(args.input), "check --input")).splitlines()
     output_path = Path(args.output) if args.output else out / f"translated-{src}-{tgt}.txt"
+    if output_path.exists() and not output_path.is_file():
+        # the output is renamed over its target, which would put a regular
+        # file in place of a pipe or device
+        raise ConfigError(f"--output {output_path} is not a regular file")
     if not lines:
-        output_path.write_text("", encoding="utf-8")
+        D.replace_text(output_path, "")
         print(f"translate: 0 lines -> {output_path}")
         return 0
 
@@ -568,7 +572,7 @@ def cmd_translate(args) -> int:
     rows = [ids[:keep] + [EOS_ID] for ids in encoded]
     decoded = decode_corpus_side(system, tgt, src, _pad_rows(rows), vocabs[tgt])
     text = [D.detokenize(D.reverse_bpe(toks)) for toks in decoded]
-    output_path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    D.replace_text(output_path, "\n".join(text) + "\n")
     cut = sum(len(ids) > keep for ids in encoded)
     note = f" ({cut} truncated to {keep} subwords)" if cut else ""
     print(f"translate: {len(lines)} lines {src}->{tgt}{note} -> {output_path}")

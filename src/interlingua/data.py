@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import AlignmentError, CheckpointError, ConfigError
+from .exceptions import AlignmentError, CheckpointError, ConfigError, CorpusError
 from .transformer import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID
 
 # characters split off as standalone tokens; '@' stays word-internal so
@@ -415,25 +415,30 @@ def save_corpus(corpus: ParallelCorpus, path):
 
 
 def read_corpus(path) -> ParallelCorpus:
-    with open(path, "rb") as fh:
-        header = read_header(fh, CORPUS_MAGIC, path)
-        if header.get("version") != CORPUS_VERSION:
-            raise CheckpointError(f"unsupported corpus version in {path}")
-        languages = tuple(header_field(header, "languages", list, path, str))
-        count = header_field(header, "count", int, path)
-        all_lengths = header_field(header, "lengths", dict, path)
-        provenance = header_field(header, "provenance", dict, path)
-        sequences: dict[str, list[np.ndarray]] = {}
-        for lang in languages:
-            # one read per side, sliced into rows by the row lengths: a read
-            # per row, or np.split, costs several times more on corpora of
-            # thousands of pairs
-            lengths = header_field(all_lengths, lang, list, path, int)
-            # every row ends with eos, so none is empty
-            if len(lengths) != count or min(lengths, default=1) < 1:
-                raise CheckpointError(f"damaged header in {path}: side {lang!r} does not hold {count} nonempty rows")
-            side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
-            ends = list(itertools.accumulate(lengths, initial=0))
-            sequences[lang] = [side[lo:hi] for lo, hi in zip(ends, ends[1:])]
-        expect_end(fh, path)
+    """What ``save_corpus`` wrote; any damage raises CorpusError."""
+    try:
+        with open(path, "rb") as fh:
+            header = read_header(fh, CORPUS_MAGIC, path)
+            if header.get("version") != CORPUS_VERSION:
+                raise CheckpointError(f"unsupported corpus version in {path}")
+            languages = tuple(header_field(header, "languages", list, path, str))
+            count = header_field(header, "count", int, path)
+            all_lengths = header_field(header, "lengths", dict, path)
+            provenance = header_field(header, "provenance", dict, path)
+            sequences: dict[str, list[np.ndarray]] = {}
+            for lang in languages:
+                # one read per side, sliced into rows by the row lengths: a read
+                # per row, or np.split, costs several times more on corpora of
+                # thousands of pairs
+                lengths = header_field(all_lengths, lang, list, path, int)
+                # every row ends with eos, so none is empty
+                if len(lengths) != count or min(lengths, default=1) < 1:
+                    raise CheckpointError(f"damaged header in {path}: side {lang!r} does not hold {count} nonempty rows")
+                side = read_array(fh, "<i4", (sum(lengths),), path).astype(np.int32)
+                ends = list(itertools.accumulate(lengths, initial=0))
+                sequences[lang] = [side[lo:hi] for lo, hi in zip(ends, ends[1:])]
+            expect_end(fh, path)
+    except CheckpointError as err:
+        # the header and array readers are the checkpoint's
+        raise CorpusError(str(err)) from None
     return ParallelCorpus(languages=languages, sequences=sequences, provenance=provenance)

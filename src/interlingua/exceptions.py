@@ -69,6 +69,12 @@ class CheckpointError(InterlinguaError):
     category = "checkpoint"
 
 
+class CorpusError(CheckpointError):
+    """A binary corpus is damaged; a CheckpointError, as both share one format."""
+
+    category = "corpus"
+
+
 class LockError(InterlinguaError):
     """Another process holds the output directory."""
 

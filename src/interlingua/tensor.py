@@ -685,7 +685,8 @@ def _attention_rows(qa, kva, q_at: RowIndex, kv_at: RowIndex, bias, weights, num
     query rows; with ``fused``, the rows that are also keys and values)
     and "kv". The backward is handed the query and key/value rows again
     rather than holding them, so a caller that can rebuild them need not
-    keep them. The rows' masks come as their ``row_index``."""
+    keep them; it projects them again too, so it holds only the softmax
+    weights. The rows' masks come as their ``row_index``."""
     if not isinstance(q_at, RowIndex) or not isinstance(kv_at, RowIndex):
         raise ContractError("attention takes each mask as its row_index")
     if len(weights) != 8:
@@ -699,15 +700,20 @@ def _attention_rows(qa, kva, q_at: RowIndex, kv_at: RowIndex, bias, weights, num
         raise ShapeError(f"rows {qa.shape[0]}/{kva.shape[0]} do not fill masks {q_shape}/{kv_shape}")
     if d % num_heads != 0:
         raise ShapeError(f"width {d} not divisible by {num_heads} heads")
-    q, k, v = affine(qa, wq, bq), affine(kva, wk, bk), affine(kva, wv, bv)
-    qh, kh, vh = _heads(q, q_at, num_heads), _heads(k, kv_at, num_heads), _heads(v, kv_at, num_heads)
-    ctx, probs = attend(qh, kh, vh, bias)
+
+    def split(qa, kva):
+        # the projected q/k/v rows as zero-padded heads; it closes over the
+        # weights and masks only, never over a projected array
+        q, k, v = affine(qa, wq, bq), affine(kva, wk, bk), affine(kva, wv, bv)
+        return _heads(q, q_at, num_heads), _heads(k, kv_at, num_heads), _heads(v, kv_at, num_heads)
+
+    ctx, probs = attend(*split(qa, kva), bias)
     out = affine(_rows(ctx, q_at), wo, bo)
 
     def grads(g, wanted, qa, kva):
-        # the closure keeps the packed q/k/v rows and rebuilds the zero-padded
-        # heads and the context here: less memory per step than holding them
-        qh, kh, vh = _heads(q, q_at, num_heads), _heads(k, kv_at, num_heads), _heads(v, kv_at, num_heads)
+        # the node keeps only the softmax weights: the projections are redone
+        # on the rows handed in, by the same calls, so they are the same bits
+        qh, kh, vh = split(qa, kva)
         dctx = _heads(g @ wo.T, q_at, num_heads)
         dprobs = dctx @ vh.swapaxes(-1, -2)
         dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))

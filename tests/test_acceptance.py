@@ -313,6 +313,7 @@ def _tiny_joint_setup(seed):
     return system, batch, cfg_t
 
 
+@pytest.mark.slow
 @criterion(1, "gradient suite")
 def test_01_gradient_suite():
     t0 = time.perf_counter()
@@ -517,6 +518,7 @@ def test_04_bleu_oracle():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(5, "overfit end to end")
 def test_05_overfit_end_to_end(assets, overfit):
     t0 = time.perf_counter()
@@ -549,6 +551,7 @@ def test_05_overfit_end_to_end(assets, overfit):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(6, "distance term ablation")
 def test_06_distance_ablation(overfit):
     finals = {
@@ -568,6 +571,7 @@ def test_06_distance_ablation(overfit):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(7, "language extension")
 def test_07_language_extension(assets, overfit):
     t0 = time.perf_counter()
@@ -645,6 +649,7 @@ def test_08_determinism_persistence(assets, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(9, "latent swap agreement")
 def test_09_latent_swap_agreement(assets, overfit):
     system, _, _ = overfit[("corr", 0)]
@@ -664,6 +669,7 @@ def test_09_latent_swap_agreement(assets, overfit):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 @criterion(10, "projection and plot stability")
 def test_10_projection_and_svg(assets, overfit, tmp_path):
     for seed in (0, 1, 2):

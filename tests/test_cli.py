@@ -654,6 +654,19 @@ class TestTranslate:
         assert "2 lines x->y (1 truncated to 15 subwords)" in out
         assert len(output.read_text(encoding="utf-8").splitlines()) == 2
 
+    def test_output_that_is_not_a_regular_file_is_refused(self, trained_project, tmp_path, capsys):
+        # the output replaces its target by a rename, so a pipe stays a pipe
+        source = trained_project.parent / "toydata" / "test.x"
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        code, _, err = run(
+            capsys, "translate", "--config", str(trained_project),
+            "--src", "x", "--tgt", "y", "--input", str(source), "--output", str(pipe),
+        )
+        assert code == 1
+        assert err == f"error: config: --output {pipe} is not a regular file\n"
+        assert pipe.is_fifo()
+
     def test_unknown_language_tag_is_config_error(self, trained_project, capsys):
         source = trained_project.parent / "toydata" / "test.x"
         code, _, err = run(
@@ -720,6 +733,35 @@ class TestEvalCommands:
         assert err == f"error: io: no space left writing {artifact}\n"
         assert target.read_bytes() == b"previous\n"
         assert not list(out_dir(config).glob(".*.partial"))
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["lines", "empty"])
+    def test_failed_translate_write_leaves_the_previous_output(
+        self, trained_project, tmp_path, capsys, monkeypatch, empty
+    ):
+        # the translation, like the other artifacts, replaces its target
+        # only once all of it is written
+        source = tmp_path / "source.x"
+        shutil.copy(trained_project.parent / "toydata" / "test.x", source)
+        if empty:
+            source.write_text("", encoding="utf-8")
+        target = tmp_path / "out.y"
+        target.write_bytes(b"previous\n")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst) == target:
+                raise OSError("no space left writing out.y")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(D.os, "replace", replace)
+        code, _, err = run(
+            capsys, "translate", "--config", str(trained_project),
+            "--src", "x", "--tgt", "y", "--input", str(source), "--output", str(target),
+        )
+        assert code == 1
+        assert err == "error: io: no space left writing out.y\n"
+        assert target.read_bytes() == b"previous\n"
+        assert not list(tmp_path.glob(".*.partial"))
 
     def test_eval_without_checkpoint_fails_cleanly(self, project, capsys):
         run(capsys, "prepare", "--config", str(project))
@@ -789,10 +831,13 @@ class TestLoaderFailures:
             one_error_line(err, "config")
             assert "--checkpoint" in err
 
+    # the error category of a damaged binary file of each kind
+    CATEGORY = {"checkpoint-final.ckpt": "checkpoint", "corpus-test.bin": "corpus"}
+
     def test_damaged_headers_give_one_checkpoint_error(self, trained_project, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(out_dir(trained_project), run_dir)
-        for name in ("checkpoint-final.ckpt", "corpus-test.bin"):
+        for name, category in self.CATEGORY.items():
             target = run_dir / name
             original = target.read_bytes()
             flipped = bytearray(original)
@@ -803,7 +848,7 @@ class TestLoaderFailures:
             )
             target.write_bytes(original)
             assert code == 1, name
-            one_error_line(err, "checkpoint")
+            one_error_line(err, category)
 
 
     def test_missing_or_mistyped_header_fields(self, trained_project, tmp_path, capsys):
@@ -829,7 +874,7 @@ class TestLoaderFailures:
                     capsys, "eval", "--config", str(trained_project), "--set", f"output.dir={run_dir}"
                 )
                 assert code == 1, (name, variant.keys())
-                one_error_line(err, "checkpoint")
+                one_error_line(err, self.CATEGORY[name])
             target.write_bytes(original)
 
     @pytest.mark.parametrize("damage", ["last side one row short", "empty first row"])
@@ -855,13 +900,13 @@ class TestLoaderFailures:
             capsys, "train", "--config", str(prepared_project), "--set", f"output.dir={run_dir}", "--steps", "1"
         )
         assert code == 1
-        one_error_line(err, "checkpoint")
+        one_error_line(err, "corpus")
         assert "corpus-train.bin" in err and "Traceback" not in err
 
     def test_trailing_bytes_rejected(self, trained_project, tmp_path, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(out_dir(trained_project), run_dir)
-        for name in ("checkpoint-final.ckpt", "corpus-test.bin"):
+        for name, category in self.CATEGORY.items():
             target = run_dir / name
             original = target.read_bytes()
             target.write_bytes(original + bytes(7))
@@ -870,7 +915,7 @@ class TestLoaderFailures:
             )
             target.write_bytes(original)
             assert code == 1, name
-            one_error_line(err, "checkpoint")
+            one_error_line(err, category)
             assert "trailing bytes" in err
 
     @pytest.mark.parametrize("command, damaged", [

@@ -7,7 +7,7 @@ import pytest
 
 from interlingua import data as D
 from interlingua import toy
-from interlingua.exceptions import AlignmentError, CheckpointError, ConfigError
+from interlingua.exceptions import AlignmentError, CheckpointError, ConfigError, CorpusError
 from interlingua.transformer import EOS_ID, UNK_ID
 from oracles import ReferenceBpe, reference_tokenize
 
@@ -296,7 +296,7 @@ class TestCorpusSerialization:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"nope" + b"\x00" * 16)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CorpusError):
             D.read_corpus(path)
 
     def test_empty_corpus_stays_empty(self, tmp_path):
@@ -324,7 +324,7 @@ class TestCorpusSerialization:
             path.write_bytes(blob)
             try:
                 loaded = D.read_corpus(path)
-            except CheckpointError:
+            except CorpusError:
                 continue
             loads += 1
             assert loaded.languages == corpus.languages

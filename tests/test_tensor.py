@@ -868,6 +868,35 @@ class TestSublayerNodes:
         assert np.isfinite(grads.flat).all()
         tape.release()
 
+    @pytest.mark.parametrize("kind", ["self", "cross"])
+    def test_attention_node_holds_no_projection(self, kind):
+        # at wide widths an attention node retains its output and what its
+        # backward cannot rebuild: the normalized input, inverse deviation
+        # and softmax weights; the backward projects q/k/v again
+        rng = np.random.default_rng(8)
+        b, t, d, heads = 8, 20, 128, 4
+        mask = np.arange(t) < rng.integers(5, t + 1, size=b)[:, None]
+        index, n = T.row_index(mask), int(mask.sum())
+        bias = causal_bias(t) if kind == "self" else key_bias(mask)
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor(rng.normal(size=(n, d))))
+        kv = tape.watch(T.Tensor(rng.normal(size=(n, d)))) if kind == "cross" else None
+        norm = [tape.watch(T.Tensor(rng.normal(size=d) + 1.0)), tape.watch(T.Tensor(rng.normal(size=d)))]
+        weights = [tape.watch(T.Tensor(w)) for w in attention_case(rng, mask, mask, d=d)[2]]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.attention_sublayer(x, kv, index, index, bias, norm, weights, heads, 1e-6)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = out.array.nbytes + 8 * (n * d + n + b * heads * t * t)
+        # each held q, k or v projection would add 8 * n * d bytes (105,472)
+        assert held <= kept + 16_384, f"{held} bytes held, {kept} expected"
+        grads = T.backward(T.reduce_sum(out))
+        assert np.isfinite(grads.flat).all()
+        tape.release()
+
     @pytest.mark.parametrize("kind", ["self", "cross", "ffn"])
     def test_backward_is_a_pure_function_of_g(self, kind):
         # the node keeps nothing between calls of its backward: each call
