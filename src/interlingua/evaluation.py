@@ -23,6 +23,10 @@ from .training import System, _pad_rows
 from .transformer import encode, greedy_decode, pad_mask
 
 MAX_ORDER = 4
+# sentences per greedy pass over a split: the decoder's key/value cache
+# holds num_blocks x 2 x max_len x d_model floats per sentence (410 KB at
+# d_model 128, 4 blocks), and each row that finishes copies all of it
+DECODE_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -142,9 +146,13 @@ def _encode_for_decoding(system: System, lang: str, tokens):
 def decode_corpus_side(
     system: System, decoder_lang: str, encoder_lang: str, tokens, vocab: Vocabulary
 ) -> list[list[str]]:
-    """Greedy-decode padded token rows through one encoder/decoder pairing."""
-    rows, mask = _encode_for_decoding(system, encoder_lang, tokens)
-    decoded = greedy_decode(system.modules[decoder_lang], rows, mask, system.config.max_len)
+    """Greedy-decode padded token rows through one encoder/decoder pairing,
+    ``DECODE_SLICE`` rows at a time. A slice keeps the rows' padded width,
+    so each row decodes as it would in one pass over all of them."""
+    decoded = []
+    for start in range(0, len(tokens), DECODE_SLICE):
+        rows, mask = _encode_for_decoding(system, encoder_lang, tokens[start : start + DECODE_SLICE])
+        decoded += greedy_decode(system.modules[decoder_lang], rows, mask, system.config.max_len)
     return [vocab.decode(ids) for ids in decoded]
 
 
@@ -155,10 +163,12 @@ def interlingua_eval(
 
     Each side is encoded once. Each decoder then runs once, over its own
     language's encoding stacked with the partner's; row for row its
-    output equals two separate ``decode_corpus_side`` calls. The
-    references are never consulted during decoding; they only enter the
-    scoring stage afterwards. The reports come in ``corpus.languages``
-    order.
+    output equals two separate ``decode_corpus_side`` calls. A split of
+    more than ``DECODE_SLICE`` sentences goes through both steps a slice
+    at a time, each slice of the padded id matrices keeping their widths.
+    The references are never consulted during decoding; they only enter
+    the scoring stage afterwards. The reports come in
+    ``corpus.languages`` order.
     """
     for lang in corpus.languages:
         if lang not in system.modules:
@@ -168,17 +178,25 @@ def interlingua_eval(
     if len(corpus) == 0:
         raise ContractError("cannot evaluate on an empty corpus")
 
-    sides = {
-        lang: _encode_for_decoding(system, lang, _pad_rows(corpus.sequences[lang]))
-        for lang in corpus.languages
-    }
+    pairings = (corpus.languages, corpus.languages[::-1])
+    padded = {lang: _pad_rows(corpus.sequences[lang]) for lang in corpus.languages}
+    # each decoder's ids from its own encoding and from the partner's
+    ids = {lang: ([], []) for lang in corpus.languages}
+    for start in range(0, len(corpus), DECODE_SLICE):
+        sides = {
+            lang: _encode_for_decoding(system, lang, tokens[start : start + DECODE_SLICE])
+            for lang, tokens in padded.items()
+        }
+        for decoder_lang, other in pairings:
+            rows, mask = stack_latents(sides[decoder_lang], sides[other])
+            stacked = greedy_decode(system.modules[decoder_lang], rows, mask, system.config.max_len)
+            n = len(stacked) // 2
+            ids[decoder_lang][0].extend(stacked[:n])
+            ids[decoder_lang][1].extend(stacked[n:])
     reports = []
-    for decoder_lang, other in (corpus.languages, corpus.languages[::-1]):
+    for decoder_lang, other in pairings:
         vocab = vocabs[decoder_lang]
-        rows, mask = stack_latents(sides[decoder_lang], sides[other])
-        ids = greedy_decode(system.modules[decoder_lang], rows, mask, system.config.max_len)
-        decoded = [vocab.decode(row) for row in ids]
-        auto, translated = decoded[: len(corpus)], decoded[len(corpus) :]
+        auto, translated = ([vocab.decode(row) for row in half] for half in ids[decoder_lang])
         refs = [vocab.decode(row) for row in corpus.sequences[decoder_lang]]
         # each list is scored twice, so it is converted once
         auto, translated, refs = (scoring_stats(lines) for lines in (auto, translated, refs))

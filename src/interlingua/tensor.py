@@ -13,6 +13,7 @@ op; they are treated as constants and receive no gradient.
 from __future__ import annotations
 
 import math
+import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -139,9 +140,13 @@ def tensors_in_one_buffer(shapes, values) -> list[Tensor]:
     matching entry of ``values`` (an iterable, consumed in order).
 
     The views are the storage: write them in place, never rebind them.
+    The buffer is an anonymous memory map, not a heap block: freeing it
+    unmaps its pages, where glibc would raise its mmap threshold to the
+    size of a freed block, and keep every later array below that size,
+    a training step's activations included, in a heap it seldom returns.
     """
     sizes = [math.prod(shape) for shape in shapes]
-    buffer = np.empty(sum(sizes))
+    buffer = np.frombuffer(mmap.mmap(-1, 8 * max(sum(sizes), 1)), dtype=np.float64, count=sum(sizes))
     out = []
     lo = 0
     for shape, size, value in zip(shapes, sizes, values):
@@ -180,9 +185,9 @@ class Gradients:
     ``TapeError`` rather than reading a freed slot as zeros.
     """
 
-    def __init__(self, tape: GradTape, values: list, flat: np.ndarray):
+    def __init__(self, tape: GradTape, slots: dict, flat: np.ndarray):
         self._tape = tape
-        self._values = values
+        self._slots = slots
         self.flat = flat
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
@@ -190,7 +195,7 @@ class Gradients:
             raise TapeError("tensor is not attached to the tape this pass ran on")
         if self._tape._parents[t.node]:
             raise TapeError("gradients of recorded tensors are freed by the sweep; watch a leaf instead")
-        return self._values[t.node]
+        return self._slots[t.node]
 
 
 def _as_array(x) -> np.ndarray:
@@ -643,10 +648,8 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias):
 
 
 def ffn_forward(h: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, act):
-    """Feed-forward rows ``act(h @ w1 + b1) @ w2 + b2`` on plain arrays;
-    returns the output and the activation's output."""
-    r = act(affine(h, w1, b1))
-    return affine(r, w2, b2), r
+    """Feed-forward rows ``act(h @ w1 + b1) @ w2 + b2`` on plain arrays."""
+    return affine(act(affine(h, w1, b1)), w2, b2)
 
 
 def _relu_array(a: np.ndarray) -> np.ndarray:
@@ -837,13 +840,20 @@ def ffn_sublayer(x, norm, weights, eps: float, rate: float = 0.0, rng: np.random
     b1) @ w2 + b2`` over rows [N, d], as one node. ``weights`` follow
     ``FFN_WEIGHTS``; ``norm``, ``rate`` and ``rng`` are as in
     ``attention_sublayer``. The forward ReLU is this module's ``relu``.
+    The node holds no hidden activation: its backward computes the ReLU
+    output again from the rebuilt ``h``, one more [N, d] x [d, 4d] GEMM.
     """
     w1, b1, w2, b2 = (_as_array(t) for t in weights)
 
     def body(h):
-        out, r = ffn_forward(h, w1, b1, w2, b2, _relu_array)
+        out = ffn_forward(h, w1, b1, w2, b2, _relu_array)
 
         def grads(g, wanted, h):
+            # the ReLU output is rebuilt from the rebuilt h, not held: the
+            # forward's own calls, so the same bits, but not through this
+            # module's ``relu``, which is the forward's alone
+            r = affine(h, w1, b1)
+            np.maximum(r, 0.0, out=r)
             got = {}
             if "w2" in wanted:
                 got["w2"] = r.T @ g
@@ -895,62 +905,77 @@ def straight_through(x, values) -> Tensor:
     return _make(va.copy(), (x, lambda g: g))
 
 
-def backward(loss: Tensor, out: np.ndarray | None = None) -> Gradients:
-    """Reverse sweep from a scalar loss; returns gradients for the whole tape.
+def backward(loss: Tensor, sink=None) -> Gradients | None:
+    """Reverse sweep from a scalar loss over the whole tape.
 
     Visits each recorded node exactly once in reverse execution order and
     accumulates contributions with addition, so the result is deterministic
     bit for bit across repeated runs on the same tape.
 
-    A recorded node's gradient is dropped as soon as it has been passed on
-    to its parents, so the sweep holds only the gradients still in flight
-    plus those of the leaves. A recorded node's contributions are stored
-    as its backward yields them and summed out of place, so a
-    contribution that aliases another slot (``add`` passes ``g`` itself to
-    both operands) is never written through; no backward may modify its
-    ``g`` in place. The leaves' gradients are written into one flat
-    buffer, a leaf's first contribution copied into its range and later
-    ones added in place, which keeps the arrays handed out by
-    ``Gradients`` private and writable. ``out``, a contiguous flat
-    float64 array of the leaves' total size, receives them in place of a
-    new buffer.
+    A node's gradient is dropped as soon as it has been passed on to its
+    parents, so the sweep holds only the gradients still in flight.
+    Contributions are summed out of place: one may alias another (``add``
+    passes ``g`` itself to both operands) or be a read-only broadcast
+    view, so no backward may modify its ``g`` and nothing writes into a
+    contribution. A watched leaf's gradient is final once the sweep has
+    passed the lowest-index node that reads it, its last consumer the
+    sweep visits, whether or not any gradient reached that node. It is
+    then handed to ``sink(finished)``, a list of (watch position,
+    gradient) pairs of the leaves one node finishes, and dropped. The
+    leaves that nothing reached are handed over last, as read-only zeros.
+
+    A sink may therefore update a leaf's array in place as soon as it is
+    handed over, on one contract: no backward reads a watched leaf's
+    array except as one of its own parents, so every backward that reads
+    it has run by then.
+
+    Without ``sink`` the gradients are copied into one flat buffer in
+    watch order and returned as ``Gradients``; with one, returns None.
     """
     if not isinstance(loss, Tensor) or loss.array.ndim != 0:
         raise ContractError("backward needs a 0-d scalar tensor")
     if loss.tape is None or loss.node is None:
         raise TapeError("loss is not attached to a gradient tape")
     tape = loss.tape
-    size = sum(t.array.size for t in tape._watched)
-    if out is None:
-        out = np.empty(size)
-    elif out.shape != (size,) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ShapeError(f"gradient buffer must be contiguous float64 of shape ({size},), got {out.dtype} {out.shape}")
-    slots = {}
-    lo = 0
-    for t in tape._watched:
-        slots[t.node] = out[lo : lo + t.array.size].reshape(t.shape)
-        lo += t.array.size
+    grads = None
+    if sink is None:
+        flat = np.empty(sum(t.array.size for t in tape._watched))
+        slots = {}
+        lo = 0
+        for t in tape._watched:
+            slots[t.node] = flat[lo : lo + t.array.size].reshape(t.shape)
+            lo += t.array.size
+        grads, views = Gradients(tape, slots, flat), list(slots.values())
+
+        def sink(finished):
+            for i, g in finished:
+                np.copyto(views[i], g)
+
+    parents = tape._parents
+    pending = {t.node: i for i, t in enumerate(tape._watched)}
+    # each leaf under the lowest-index node that reads it
+    finishes: dict[int, list[int]] = {}
+    seen = set()
+    for idx in range(loss.node + 1):
+        for p in parents[idx]:
+            if p in pending and p not in seen:
+                seen.add(p)
+                finishes.setdefault(idx, []).append(p)
     values: list = [None] * len(tape)
     values[loss.node] = np.ones((), dtype=np.float64)
-    parents = tape._parents
     for idx in range(loss.node, -1, -1):
         g = values[idx]
-        if g is None or not parents[idx]:
-            continue
-        values[idx] = None
-        for pidx, contrib in zip(parents[idx], tape._backwards[idx](g)):
-            if not parents[pidx]:
-                if values[pidx] is None:
-                    values[pidx] = slots[pidx]
-                    np.copyto(values[pidx], contrib)
-                else:
-                    values[pidx] += contrib
-            elif values[pidx] is not None:
-                values[pidx] = values[pidx] + contrib
-            else:
-                values[pidx] = contrib
-    for node, slot in slots.items():
-        if values[node] is None:
-            slot.fill(0.0)
-            values[node] = slot
-    return Gradients(tape, values, out)
+        if g is not None and parents[idx]:
+            values[idx] = None
+            for pidx, contrib in zip(parents[idx], tape._backwards[idx](g)):
+                values[pidx] = contrib if values[pidx] is None else values[pidx] + contrib
+        reached = [leaf for leaf in finishes.get(idx, ()) if values[leaf] is not None]
+        if reached:
+            sink([(pending.pop(leaf), values[leaf]) for leaf in reached])
+            for leaf in reached:
+                values[leaf] = None
+    if pending:
+        # the loss itself when it is a leaf; zeros for every other leaf
+        sink([(i, np.broadcast_to(values[leaf] if values[leaf] is not None else 0.0, tape._watched[i].shape))
+              for leaf, i in pending.items()])
+    return grads

@@ -93,7 +93,7 @@ class TrainConfig:
 class TrainState:
     step: int = 0
     # Adam's (m, v) by parameter name; after a step, the trained names'
-    # moments are views of one buffer laid out like the gradient buffer
+    # moments are views of one [2, n] buffer, in the order they are watched
     moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
     # the trained tensors, and the layout of the Adam step built for them
@@ -327,10 +327,20 @@ def train_step(
     trains every module and the codebook. Frozen parameters still take
     part in the forward pass as constants, so gradients flow through them
     to trainable ancestors.
+
+    Adam runs inside the backward sweep (``_adam_sink``): each trained
+    tensor is updated as soon as its gradient is final, so no gradient of
+    the whole model is held. The step counter advances before the sweep,
+    since the bias correction reads it. A step that raises during the
+    sweep therefore leaves the parameters and moments partly updated;
+    ``cli.run_training`` then exits without saving, so the last checkpoint
+    stays the point to resume from.
     """
     t0 = time.perf_counter()
     if trainable is not None and not trainable <= set(system.modules):
         raise ConfigError(f"unknown trainable languages: {sorted(trainable - set(system.modules))}")
+    if trainable is not None and not trainable:
+        raise ConfigError("nothing to train: the trainable set names no language")
     parts = system.parameter_parts(trainable)
     tape = GradTape()
     try:
@@ -346,14 +356,8 @@ def train_step(
                 f"loss became non-finite at step {state.step + 1}: {components}",
                 components=components,
             )
-        # the gradients land in the buffer kept with the moments, one
-        # allocation per run: freeing a block that large every step raises
-        # glibc's mmap threshold, and the heap then keeps tens of MB of
-        # freed arrays resident (about 50 MB more peak RSS at d_model 128)
-        _, buffers = _adam_layout(state, parts)
-        grads = backward(loss, out=buffers[0])
         state.step += 1
-        _adam_update(state, parts, grads, cfg)
+        backward(loss, sink=_adam_sink(state, parts, cfg))
     finally:
         tape.release()
     components["loss"] = loss_value
@@ -363,47 +367,67 @@ def train_step(
     return components
 
 
-def _adam_update(state, parts, grads, cfg: TrainConfig):
-    """One Adam step over every trained part's buffer, chunk by chunk.
+def _adam_sink(state, parts, cfg: TrainConfig):
+    """``backward``'s sink for one step: Adam on the trained tensors a
+    node finishes, as soon as it finishes them. ``parts`` must be the
+    tensors the tape watched, in order, so a leaf's watch position is
+    its position in the layout.
 
-    ``grads`` must come from a tape that watched the tensors of ``parts``
-    in order, so ``grads.flat`` and the moments share one layout.
-    Each chunk evaluates the per-array update ``m = b1 m + (1 - b1) g``,
-    ``v = b2 v + (1 - b2) g^2``, ``p -= lr (m / bias1) / (sqrt(v / bias2)
-    + eps)`` operation by operation, so the result is the same bits.
+    The finished tensors are sorted by position and cut into runs of
+    neighbours, and each run's gradients are copied into one flat array.
+    Each chunk of a run within one part evaluates the per-array update
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g^2``, ``p -= lr (m /
+    bias1) / (sqrt(v / bias2) + eps)`` operation by operation, so the
+    result is the same bits.
     """
+    runs, starts, moments = _adam_layout(state, parts)
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    runs, buffers = _adam_layout(state, parts)
     scratch = np.empty((2, ADAM_CHUNK))
-    for flat_p, lo, hi in runs:
-        for start in range(lo, hi, ADAM_CHUNK):
-            stop = min(start + ADAM_CHUNK, hi)
-            p = flat_p[start - lo : stop - lo]
-            g, m, v = grads.flat[start:stop], buffers[1, start:stop], buffers[2, start:stop]
-            a, b = scratch[:, : stop - start]
-            m *= b1
-            np.multiply(1.0 - b1, g, out=a)
-            m += a
-            v *= b2
-            np.multiply(g, g, out=a)
-            np.multiply(1.0 - b2, a, out=a)
-            v += a
-            np.divide(v, bias2, out=a)
-            np.sqrt(a, out=a)
-            a += cfg.adam_eps
-            np.divide(m, bias1, out=b)
-            np.multiply(cfg.learning_rate, b, out=b)
-            b /= a
-            p -= b
+
+    def update(run):
+        lo, hi = starts[run[0][0]], starts[run[-1][0] + 1]
+        grads = np.concatenate([g.reshape(-1) for _, g in run])
+        for flat_p, part_lo, part_hi in runs:
+            for start in range(max(lo, part_lo), min(hi, part_hi), ADAM_CHUNK):
+                stop = min(start + ADAM_CHUNK, hi, part_hi)
+                p = flat_p[start - part_lo : stop - part_lo]
+                g, m, v = grads[start - lo : stop - lo], moments[0, start:stop], moments[1, start:stop]
+                a, b = scratch[:, : stop - start]
+                m *= b1
+                np.multiply(1.0 - b1, g, out=a)
+                m += a
+                v *= b2
+                np.multiply(g, g, out=a)
+                np.multiply(1.0 - b2, a, out=a)
+                v += a
+                np.divide(v, bias2, out=a)
+                np.sqrt(a, out=a)
+                a += cfg.adam_eps
+                np.divide(m, bias1, out=b)
+                np.multiply(cfg.learning_rate, b, out=b)
+                b /= a
+                p -= b
+
+    def sink(finished):
+        finished.sort(key=lambda pair: pair[0])
+        run = finished[:1]
+        for pair in finished[1:]:
+            if pair[0] != run[-1][0] + 1:
+                update(run)
+                run = []
+            run.append(pair)
+        update(run)
+
+    return sink
 
 
 def _adam_layout(state, parts):
-    """Each part's buffer as (flat buffer, start, end in the gradient
-    layout), and one [3, n] buffer in that layout: gradients, first and
-    second moments.
+    """Each part's buffer as (flat buffer, start, end in the layout of all
+    trained tensors), each tensor's start in that layout followed by their
+    total, and one [2, n] buffer in that layout: first and second moments.
 
     Built once for a set of trained tensors and kept on the state. The
     build copies any moments the state already holds (from earlier steps
@@ -412,25 +436,24 @@ def _adam_layout(state, parts):
     tensors = [t for part in parts for t in part.values()]
     if state._adam is not None and state._adam[0] == tensors:
         return state._adam[1:]
-    buffers = np.zeros((3, sum(t.array.size for t in tensors)))
-    runs = []
-    lo = 0
+    moments = np.zeros((2, sum(t.array.size for t in tensors)))
+    runs, starts = [], [0]
     for part in parts:
         flat = next(iter(part.values())).array.base
-        start = lo
+        start = starts[-1]
         for n, t in part.items():
-            hi = lo + t.array.size
-            m, v = buffers[1, lo:hi].reshape(t.shape), buffers[2, lo:hi].reshape(t.shape)
+            lo, hi = starts[-1], starts[-1] + t.array.size
+            m, v = moments[0, lo:hi].reshape(t.shape), moments[1, lo:hi].reshape(t.shape)
             if n in state.moments:
                 m[...], v[...] = state.moments[n]
             state.moments[n] = (m, v)
-            lo = hi
+            starts.append(hi)
         # a part's tensors fill one flat buffer in order (tensors_in_one_buffer)
-        if flat is None or flat.size != lo - start or any(t.array.base is not flat for t in part.values()):
+        if flat is None or flat.size != starts[-1] - start or any(t.array.base is not flat for t in part.values()):
             raise ContractError(f"{', '.join(part)} are not the views of one buffer")
-        runs.append((flat, start, lo))
-    state._adam = (tensors, runs, buffers)
-    return runs, buffers
+        runs.append((flat, start, starts[-1]))
+    state._adam = (tensors, runs, starts, moments)
+    return runs, starts, moments
 
 
 def train(

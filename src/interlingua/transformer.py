@@ -377,7 +377,7 @@ def _greedy_step(module: LanguageModule, bound: tuple, vectors: list, tok: np.nd
         x += _attend_rows(qkv[0], cache[i, 0, :, :, : step + 1], cache[i, 1, :, :, : step + 1], None, wo, bo)
         q = T.affine(T.layer_norm_forward(x, g2, c2, LN_EPS)[0], wq, bq).reshape(shape)
         x += _attend_rows(q, cross[i, 0], cross[i, 1], cross_bias, cross_wo, cross_bo)
-        x += T.ffn_forward(T.layer_norm_forward(x, g3, c3, LN_EPS)[0], w1, b1, w2, b2, _relu_in_place)[0]
+        x += T.ffn_forward(T.layer_norm_forward(x, g3, c3, LN_EPS)[0], w1, b1, w2, b2, _relu_in_place)
     return T.layer_norm_forward(x, *vectors[-1], LN_EPS)[0] @ out_proj
 
 

@@ -265,10 +265,12 @@ def padded_joint_loss(batch, system, cfg):
 
 
 def reference_adam_update(state, parts, grads, cfg):
-    """``training._adam_update`` one parameter array at a time, out of place.
+    """The Adam step ``train_step`` applies inside its backward sweep, after
+    the sweep and one parameter array at a time, out of place.
 
-    Same signature, same arithmetic in the same order; each parameter's
-    moments start at zeros and are stored back as new arrays.
+    ``grads`` is the ``Gradients`` of a tape that watched ``parts``. Same
+    arithmetic in the same order; each parameter's moments start at zeros
+    and are stored back as new arrays.
     """
     t = state.step
     b1, b2 = cfg.beta1, cfg.beta2

@@ -1,6 +1,7 @@
 """Tests for corpus BLEU and the encoder-interchange evaluation."""
 
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -307,6 +308,47 @@ class TestInterlinguaEval:
         train(system, TrainState(), corpus, cfg)
         after = report_for("x", system, corpus, vocabs)
         assert after.bleu_autoencoder.score >= before.bleu_autoencoder.score
+
+
+class TestDecodeSlices:
+    """A split longer than one slice decodes as one unsliced pass would."""
+
+    def split(self, vocabs, rows=600):
+        sizes = {lang: len(v) for lang, v in vocabs.items()}
+        rng = np.random.default_rng(5)
+        corpus = unequal_corpus(sizes, {lang: tuple(rng.integers(2, 15, size=rows)) for lang in sizes})
+        system = build_system(small_model_config(num_blocks=2, d_model=32, max_len=16), sizes, seed=6)
+        return system, corpus, make_batch(corpus, range(rows))
+
+    def test_sliced_outputs_equal_one_pass(self, toy_corpus, monkeypatch):
+        _, vocabs, _, _ = toy_corpus
+        system, corpus, batch = self.split(vocabs)
+        assert len(corpus) > 2 * E.DECODE_SLICE
+        scored = []
+        real_stats = E.scoring_stats
+        monkeypatch.setattr(E, "scoring_stats", lambda lines: scored.append(list(lines)) or real_stats(lines))
+        runs = []
+        for size in (E.DECODE_SLICE, len(corpus)):
+            monkeypatch.setattr(E, "DECODE_SLICE", size)
+            scored.clear()
+            reports = [report_json(r) for r in interlingua_eval(system, corpus, vocabs)]
+            runs.append((decode_corpus_side(system, "y", "x", batch.x, vocabs["y"]), list(scored), reports))
+        assert runs[0] == runs[1]
+
+    def test_peak_memory_does_not_grow_with_the_split(self, toy_corpus):
+        _, vocabs, _, _ = toy_corpus
+        system, _, batch = self.split(vocabs)
+        assert len(batch.x) > 2 * E.DECODE_SLICE
+        peaks = []
+        for rows in (E.DECODE_SLICE, len(batch.x)):
+            tracemalloc.start()
+            try:
+                decode_corpus_side(system, "y", "x", batch.x[:rows], vocabs["y"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one pass over all 600 rows peaked at 2.3 times one slice's
+        assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 class TestReportOutput:

@@ -196,13 +196,52 @@ class TestTapeMechanics:
         # one flat buffer holds the leaves' gradients in watch order
         np.testing.assert_array_equal(grads.flat, [2.0, 0.0, 0.0])
         assert np.shares_memory(grads[x], grads.flat) and np.shares_memory(grads[y], grads.flat)
-        # or a caller's buffer, every entry overwritten
-        out = np.full(3, np.nan)
-        assert T.backward(T.reduce_sum(x * 2.0), out=out).flat is out
-        np.testing.assert_array_equal(out, [2.0, 0.0, 0.0])
-        for wrong in (np.zeros(2), np.zeros(6)[::2]):
-            with pytest.raises(ShapeError):
-                T.backward(T.reduce_sum(x * 2.0), out=wrong)
+
+    def test_sink_gets_each_leaf_once_after_its_last_consumer(self):
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor([1.0, 2.0]))
+        y = tape.watch(T.Tensor([3.0, 4.0]))
+        unused = tape.watch(T.Tensor([[5.0]]))
+        z = T.mul(x, 2.0)  # x's only consumer, recorded before y's two
+        w = T.add(T.mul(z, y), y)
+        calls = []
+
+        def sink(finished):
+            calls.append([(i, np.array(g)) for i, g in finished])
+
+        assert T.backward(T.reduce_sum(w), sink=sink) is None
+        # y once both its consumers have passed, then x, then the unreached leaf
+        assert [[i for i, _ in call] for call in calls] == [[1], [0], [2]]
+        np.testing.assert_array_equal(calls[0][0][1], [3.0, 5.0])  # 2x + 1
+        np.testing.assert_array_equal(calls[1][0][1], [6.0, 8.0])  # 2y
+        np.testing.assert_array_equal(calls[2][0][1], np.zeros((1, 1)))
+
+    def test_sink_may_update_a_leaf_once_handed_over(self):
+        # every backward that reads a leaf has run when it is handed over,
+        # so updating it in place then changes no gradient
+        rng = np.random.default_rng(3)
+        w0, b0, x0 = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=(5, 3))
+
+        def loss_of(tape):
+            w, b = tape.watch(T.Tensor(w0.copy())), tape.watch(T.Tensor(b0.copy()))
+            h = T.relu(T.linear(T.Tensor(x0), w, b))
+            return [w, b], T.reduce_sum(T.mul(T.linear(h, w, b), h))
+
+        leaves, loss = loss_of(T.GradTape())
+        grads = T.backward(loss)
+        want = [np.array(grads[leaf]) for leaf in leaves]
+        leaves, loss = loss_of(T.GradTape())
+        got = {}
+
+        def sink(finished):
+            for i, g in finished:
+                got[i] = np.array(g)
+                leaves[i].array -= 0.5 * g
+
+        T.backward(loss, sink=sink)
+        for i, (leaf, start) in enumerate(zip(leaves, (w0, b0))):
+            np.testing.assert_array_equal(got[i], want[i])
+            np.testing.assert_array_equal(leaf.array, start - 0.5 * want[i])
 
     def test_unwatched_tensor_lookup_raises(self):
         tape = T.GradTape()
@@ -892,6 +931,30 @@ class TestSublayerNodes:
             tracemalloc.stop()
         kept = out.array.nbytes + 8 * (n * d + n + b * heads * t * t)
         # each held q, k or v projection would add 8 * n * d bytes (105,472)
+        assert held <= kept + 16_384, f"{held} bytes held, {kept} expected"
+        grads = T.backward(T.reduce_sum(out))
+        assert np.isfinite(grads.flat).all()
+        tape.release()
+
+    def test_ffn_node_holds_no_hidden(self):
+        # a feed-forward node retains its output, the normalized input and
+        # inverse deviation; the backward computes the ReLU output again
+        rng = np.random.default_rng(9)
+        n, d = 160, 128
+        tape = T.GradTape()
+        x = tape.watch(T.Tensor(rng.normal(size=(n, d))))
+        norm = [tape.watch(T.Tensor(rng.normal(size=d) + 1.0)), tape.watch(T.Tensor(rng.normal(size=d)))]
+        shapes = [(d, 4 * d), (4 * d,), (4 * d, d), (d,)]
+        weights = [tape.watch(T.Tensor(rng.normal(size=shape) * 0.1)) for shape in shapes]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.ffn_sublayer(x, norm, weights, 1e-6)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = out.array.nbytes + 8 * (n * d + n)
+        # a held ReLU output would add 8 * n * 4d bytes (655,360)
         assert held <= kept + 16_384, f"{held} bytes held, {kept} expected"
         grads = T.backward(T.reduce_sum(out))
         assert np.isfinite(grads.flat).all()

@@ -27,6 +27,7 @@ from interlingua.exceptions import (
     DivergenceError,
 )
 from interlingua.latent import Codebook
+from interlingua.seeding import derive_rng
 from interlingua.training import (
     TrainConfig,
     TrainState,
@@ -450,10 +451,11 @@ class TestPackedObjective:
     # bytes allocated between the start of joint_loss and the start of
     # backward in a steady wide step (the toy corpus's 16 pairs, DVQ, max
     # distance): 40.4 MB when each pre-norm sublayer node held its layer
-    # norm's output, 33.1 MB once its backward rebuilt that output, and
-    # 20.6 MB (20,583,402) since each attention node also projects its
-    # q/k/v rows again instead of holding them
-    ACTIVATION_BUDGET = 23_000_000
+    # norm's output, 33.1 MB once its backward rebuilt that output,
+    # 20.6 MB (20,583,402) once each attention node also projected its
+    # q/k/v rows again instead of holding them, and 10.6 MB (10,554,346)
+    # since each feed-forward node computes its ReLU output again too
+    ACTIVATION_BUDGET = 11_500_000
 
     def test_activations_held_for_backward(self, toy_corpus, monkeypatch):
         corpus, vocabs, _, _ = toy_corpus
@@ -472,9 +474,9 @@ class TestPackedObjective:
             held.append(-tracemalloc.get_traced_memory()[0])
             return real_loss(*args)
 
-        def backward_spy(loss, out=None):
+        def backward_spy(loss, sink=None):
             held[-1] += tracemalloc.get_traced_memory()[0]
-            return real_backward(loss, out)
+            return real_backward(loss, sink)
 
         monkeypatch.setattr(TR, "joint_loss", joint_loss_spy)
         monkeypatch.setattr(TR, "backward", backward_spy)
@@ -485,6 +487,28 @@ class TestPackedObjective:
             tracemalloc.stop()
         assert len(held) == 1
         assert held[0] <= self.ACTIVATION_BUDGET, f"{held[0]} bytes held for backward"
+
+    def test_steady_step_allocates_no_whole_model_array(self, toy_corpus):
+        # Adam runs inside the sweep, so a step holds no gradient of the
+        # whole model: its traced peak stays below one array of the trained
+        # parameter count (the tape is 10.6 MB here, such an array 8n bytes)
+        corpus, vocabs, _, _ = toy_corpus
+        model, train_kw = WIDE
+        cfg = fast_train_config(**train_kw)
+        system = build_system(
+            model, {lang: len(v) for lang, v in vocabs.items()}, seed=0, quantize_latent=cfg.quantize
+        )
+        n = sum(t.array.size for t in system.named_parameters().values())
+        state = TrainState()
+        train_step(state, system, sample_batch(corpus, cfg.batch_size, cfg.seed, 0), cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_step(state, system, sample_batch(corpus, cfg.batch_size, cfg.seed, 1), cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n, f"a steady step peaked at {peak} bytes, {8 * n} for one whole-model array"
 
 
 class TestTrainStep:
@@ -573,8 +597,18 @@ class TestTrainStep:
         arrays = [a for pair in state.moments.values() for a in pair]
         assert all(a.base is not None for a in arrays)
         assert len({id(a.base) for a in arrays}) == 1
+        # first and second moments only: no gradient row
+        assert arrays[0].base.shape == (2, sum(t.array.size for t in system.named_parameters().values()))
         for name, (m, v) in state.moments.items():
             assert m.shape == v.shape == system.named_parameters()[name].shape
+
+    def test_empty_trainable_set_rejected(self, toy_corpus):
+        corpus, vocabs, _, _ = toy_corpus
+        system = small_system(vocabs)
+        before = system.parameter_hash()
+        with pytest.raises(ConfigError, match="nothing to train"):
+            train_step(TrainState(), system, sample_batch(corpus, 8, 0, 0), fast_train_config(), trainable=set())
+        assert system.parameter_hash() == before
 
     def test_unknown_trainable_name_rejected(self, toy_corpus):
         corpus, vocabs, _, _ = toy_corpus
@@ -831,17 +865,37 @@ class TestResume:
         assert tail == [h["loss"] for h in straight_state.history[3:]]
 
 
-def train_to(system, state, corpus, cfg, stop, trainable=None, update=None):
-    """Train from the state's step up to ``stop``; ``update``, when given,
-    stands in for ``training._adam_update``."""
-    with pytest.MonkeyPatch.context() as mp:
-        if update is not None:
-            mp.setattr(TR, "_adam_update", update)
-        train(system, state, corpus, dataclasses.replace(cfg, max_steps=stop), trainable=trainable)
+def train_to(system, state, corpus, cfg, stop, trainable=None):
+    """``train`` from the state's step up to ``stop``."""
+    train(system, state, corpus, dataclasses.replace(cfg, max_steps=stop), trainable=trainable)
+
+
+def reference_train_to(system, state, corpus, cfg, stop, trainable=None):
+    """``train_to`` by the public ``backward`` and the per-array Adam of
+    ``reference_adam_update``, run after the sweep: the step ``train_step``
+    takes with Adam inside the sweep, done the plain way. Each step's loss
+    goes to the history."""
+    while state.step < stop:
+        batch = sample_batch(corpus, cfg.batch_size, cfg.seed, state.step)
+        parts = system.parameter_parts(trainable)
+        tape = T.GradTape()
+        try:
+            for part in parts:
+                for t in part.values():
+                    tape.watch(t)
+            loss, _ = joint_loss(batch, system, cfg, derive_rng(cfg.seed, "dropout", state.step))
+            grads = T.backward(loss)
+            state.step += 1
+            reference_adam_update(state, parts, grads, cfg)
+        finally:
+            tape.release()
+        state.history.append({"loss": loss.item()})
 
 
 def assert_same_training(run, reference):
     (system, state), (ref_system, ref_state) = run, reference
+    losses = [h["loss"] for h in state.history]
+    assert losses == [h["loss"] for h in ref_state.history][-len(losses) :]
     assert_bit_identical(snapshot(ref_system), system.named_parameters())
     assert state.moments.keys() == ref_state.moments.keys()
     for name, (m, v) in ref_state.moments.items():
@@ -850,8 +904,9 @@ def assert_same_training(run, reference):
 
 
 class TestWholeBufferAdam:
-    """The chunked whole-buffer Adam step against the per-array reference:
-    parameters and moments must agree bit for bit after several steps."""
+    """Adam applied run by run inside the backward sweep against the
+    per-array reference applied after it: losses, parameters and moments
+    must agree bit for bit after several steps."""
 
     def systems(self, vocabs, config, cfg, seed=3):
         sizes = {lang: len(v) for lang, v in vocabs.items()}
@@ -870,7 +925,7 @@ class TestWholeBufferAdam:
         system, ref_system = self.systems(vocabs, config, cfg)
         state, ref_state = TrainState(), TrainState()
         train_to(system, state, corpus, cfg, 3)
-        train_to(ref_system, ref_state, corpus, cfg, 3, update=reference_adam_update)
+        reference_train_to(ref_system, ref_state, corpus, cfg, 3)
         assert_same_training((system, state), (ref_system, ref_state))
 
     def test_trainable_subset(self, toy_corpus):
@@ -883,7 +938,7 @@ class TestWholeBufferAdam:
         assert any(n.startswith("codebook/") for n in frozen)
         state, ref_state = TrainState(), TrainState()
         train_to(system, state, corpus, cfg, 3, {"y"})
-        train_to(ref_system, ref_state, corpus, cfg, 3, {"y"}, update=reference_adam_update)
+        reference_train_to(ref_system, ref_state, corpus, cfg, 3, {"y"})
         assert_bit_identical(frozen, system.named_parameters())
         assert set(state.moments) == {n for n in system.named_parameters() if n.startswith("y/")}
         assert_same_training((system, state), (ref_system, ref_state))
@@ -893,13 +948,32 @@ class TestWholeBufferAdam:
         cfg = fast_train_config(**TOY[1])
         system, ref_system = self.systems(vocabs, TOY[0], cfg)
         ref_state = TrainState()
-        train_to(ref_system, ref_state, corpus, cfg, 6, update=reference_adam_update)
+        reference_train_to(ref_system, ref_state, corpus, cfg, 6)
         state = TrainState()
         train_to(system, state, corpus, cfg, 3)
         save_checkpoint(system, state, tmp_path / "mid.ckpt", train_config=cfg)
         resumed, resumed_state, _ = load_checkpoint(tmp_path / "mid.ckpt")
         train_to(resumed, resumed_state, corpus, cfg, 6)
         assert_same_training((resumed, resumed_state), (ref_system, ref_state))
+
+    def test_unreached_module_matches_reference(self, toy_corpus):
+        # a third module that the x-y pair does not reach, after steps on an
+        # x-z pair gave it moments: each step still decays them and moves
+        # it by a zero-gradient Adam step, as the reference does
+        corpus, vocabs, _, _ = toy_corpus
+        sizes = {"x": len(vocabs["x"]), "y": len(vocabs["y"]), "z": len(vocabs["y"])}
+        xz = D.ParallelCorpus(languages=("x", "z"), sequences={"x": corpus.sequences["x"], "z": corpus.sequences["y"]})
+        cfg = fast_train_config(**TOY[1])
+        runs = []
+        for to in (train_to, reference_train_to):
+            system, state = build_system(TOY[0], sizes, seed=3), TrainState()
+            to(system, state, xz, cfg, 2)
+            z_moved = snapshot(system, prefix="z/")
+            to(system, state, corpus, cfg, 5)
+            runs.append((system, state))
+        assert all(np.abs(m).max() > 0 for n, (m, _) in runs[0][1].moments.items() if n.startswith("z/"))
+        assert any(not np.array_equal(a, runs[0][0].named_parameters()[n].array) for n, a in z_moved.items())
+        assert_same_training(*runs)
 
 
 class TestDropout:
